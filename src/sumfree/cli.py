@@ -34,11 +34,7 @@ from .analysis import (
     singleton_maximal_groups,
     verify_index2_structure,
 )
-from .enumeration import (
-    build_count_record,
-    count_sum_free,
-    count_sum_free_sharded,
-)
+from .enumeration import build_count_record, count_by_largest, count_sum_free
 from .errors import CapacityError, GenerationTimeout
 from .generate import RandomGenConfig, extract_sum_free, random_sum_free
 from .groups import abelian_groups_of_order, index2_subgroups, make_group
@@ -62,7 +58,6 @@ class ExperimentConfig:
     cap: int = 40
     output_path: Optional[str] = None
     format: str = "csv"
-    rng_seed: int = 0
 
 
 def _add_universe_flags(p: argparse.ArgumentParser) -> None:
@@ -176,16 +171,14 @@ def cmd_count(args) -> int:
 
 
 def interval_sweep_rows(cfg: ExperimentConfig) -> list[dict]:
+    if cfg.n_max < 1:
+        return []
+    # one walk of [1, n_max]: f(n) counts the sets whose largest element is <= n
+    by_top = count_by_largest(IntervalUniverse(1, cfg.n_max), cfg.shard_count, cfg.cap)
     rows = []
+    f = by_top[0]
     for n in range(1, cfg.n_max + 1):
-        u = IntervalUniverse(1, n)
-        if cfg.shard_count == 1:
-            f = count_sum_free(u, cfg.cap)
-        else:
-            f = sum(
-                count_sum_free_sharded(u, i, cfg.shard_count, cfg.cap)
-                for i in range(cfg.shard_count)
-            )
+        f += by_top[n]
         rows.append(
             {
                 "n": n,

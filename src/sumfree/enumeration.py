@@ -6,8 +6,8 @@ Two engines back everything here:
   generic predicate (kept deliberately dumb, it is the oracle);
 * a backtracking walk of the family of sum-free sets.  The family is
   closed under taking subsets, so the walk extends the current set only
-  by elements that keep it sum-free and therefore touches exactly one
-  node per sum-free set.  Counting costs O(answer) bit operations.
+  by elements that keep it sum-free and never visits a set that is not
+  sum-free.
 
 The walk maintains a "forbidden" bit mask per node.  For intervals,
 elements are taken in ascending order, so the only way a later candidate
@@ -17,6 +17,13 @@ also hit a chosen element by addition or halving, so the mask tracks the
 sumset, the difference set and the half-set together, which also makes
 the maximality test a single mask comparison.
 
+Interval counts do not visit every set.  Once the smallest candidate c
+satisfies c + min(s | {c}) > hi, no sum of two members can reach a
+remaining candidate, so all 2^k subsets of the k remaining candidates
+("the free tail") extend s and are counted in one step.  Enumerating
+walks (enumerate_sum_free, enumerate_maximum) and group counts visit one
+node per set.
+
 Sharded counting fixes the first log2(shard_count) include/exclude
 decisions from the bits of the shard index (bit j governs ground element
 j, least significant bit first); shard totals add up to the plain count
@@ -25,6 +32,7 @@ for any power-of-two shard count.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Callable, Optional
 
 from .groups import GroupSpec
@@ -64,14 +72,12 @@ class _IntervalEngine:
         v = slot + self.lo
         return f_mask | (((s_mask | (1 << slot)) << v) & self.window)
 
-    def extension_blocked(self, s_mask: int, slot: int) -> bool:
-        # reasons beyond the sum mask why slot cannot join s_mask:
-        # v completes a difference (x and x + v chosen) or 2v is chosen
-        v = slot + self.lo
-        if (s_mask >> v) & s_mask:
-            return True
-        two = 2 * v
-        return two <= self.hi and bool((s_mask >> (two - self.lo)) & 1)
+    def head_mask(self, s_mask: int) -> int:
+        # slots c with c + min(s | {c}) <= hi; every candidate above them
+        # belongs to the free tail
+        low = (s_mask & -s_mask).bit_length() - 1 + self.lo if s_mask else None
+        last = self.hi // 2 if low is None else self.hi - low
+        return (1 << max(last - self.lo + 1, 0)) - 1
 
 
 class _GroupEngine:
@@ -120,10 +126,6 @@ class _GroupEngine:
             nf |= 1 << sub_tbl[slot][x]
         return nf
 
-    def extension_blocked(self, s_mask: int, slot: int) -> bool:
-        # forbid() already records sums, differences and halves
-        return False
-
 
 def _engine_for(u: Universe):
     if isinstance(u, IntervalUniverse):
@@ -140,10 +142,11 @@ def _require_ground(u: Universe, cap: int) -> None:
         )
 
 
-def _walk(engine, visit: Optional[Callable[[int], None]], s: int, f: int,
+def _walk(engine, visit: Optional[Callable[[int, int], None]], s: int, f: int,
           min_slot: int) -> int:
+    """Count the sets below s, one node per set; visit(s, forbidden) at each."""
     if visit is not None:
-        visit(s)
+        visit(s, f)
     total = 1
     avail = engine.ground_mask & ~f & (-1 << min_slot)
     while avail:
@@ -154,9 +157,139 @@ def _walk(engine, visit: Optional[Callable[[int], None]], s: int, f: int,
     return total
 
 
+def _interval_walk(engine: _IntervalEngine, s: int, f: int, min_slot: int,
+                   by_top: Optional[list[int]] = None) -> int:
+    """Count the sum-free sets of an interval that extend s above min_slot.
+
+    Free tails are counted in bulk.  If by_top is given, every set counted
+    is also added to by_top[i], where i - 1 is the set's largest slot
+    (i = 0 for the empty set): of the tail sets, 2^j have the j-th
+    smallest tail candidate on top.
+    """
+    lo, hi, window = engine.lo, engine.hi, engine.window
+
+    def rec(s: int, f: int, min_slot: int, head_mask: int, top: int) -> int:
+        avail = window & ~f & (-1 << min_slot)
+        head = avail & head_mask
+        tail = avail ^ head
+        if by_top is None:
+            total = 1 << tail.bit_count()
+        else:
+            by_top[top] += 1
+            total = 1
+            while tail:
+                b = tail & -tail
+                tail ^= b
+                by_top[b.bit_length()] += total
+                total <<= 1
+        while head:
+            b = head & -head
+            head ^= b
+            slot = b.bit_length() - 1
+            v = slot + lo
+            s2 = s | b
+            total += rec(s2, f | ((s2 << v) & window), slot + 1,
+                         head_mask if s else (1 << (hi - v - lo + 1)) - 1, slot + 1)
+        return total
+
+    top = s.bit_length()
+    return rec(s, f, min_slot, engine.head_mask(s), top)
+
+
+def _interval_tally(engine: _IntervalEngine,
+                    found: Optional[list[int]]) -> tuple[int, int, list[int]]:
+    """Count, maximal count and cardinality histogram of an interval, one walk.
+
+    The mask m holds the sums, the differences and the halves of s, so
+    "no element can join s" is ground & ~s & ~m == 0.  Above the largest
+    member only sums occur, so m also gives the candidates.  r holds bit
+    hi - x for each member x: shifted right by hi + lo - v it gives the
+    new differences v - x.  Of a node and its free-tail sets only
+    s | tail can be maximal, since any tail candidate can join the others.
+    """
+    lo, hi, window = engine.lo, engine.hi, engine.window
+    width = engine.ground_count + 1
+    pairs = [0] * (width * width)  # [node cardinality * width + tail size]
+    f_max = 0
+
+    def add_diffs(m: int, r: int, v: int) -> int:
+        m |= r >> (hi + lo - v)
+        if not v & 1 and v >= 2 * lo:
+            m |= 1 << (v // 2 - lo)
+        return m
+
+    def rec(s: int, m: int, r: int, min_slot: int, head_mask: int, card: int) -> int:
+        nonlocal f_max
+        avail = window & ~m & (-1 << min_slot)
+        head = avail & head_mask
+        tail = avail ^ head
+        pairs[card * width + tail.bit_count()] += 1
+        if tail or not head:
+            t, mt, rt = tail, m, r
+            while t:  # tail sums leave the window, so only differences and halves
+                b = t & -t
+                t ^= b
+                v = b.bit_length() - 1 + lo
+                mt = add_diffs(mt, rt, v)
+                rt |= 1 << (hi - v)
+            if not window & ~(s | tail | mt):
+                f_max += 1
+                if found is not None:
+                    found.append(s | tail)
+        total = 1 << tail.bit_count()
+        while head:
+            b = head & -head
+            head ^= b
+            slot = b.bit_length() - 1
+            v = slot + lo
+            s2 = s | b
+            total += rec(s2, add_diffs(m | ((s2 << v) & window), r, v),
+                         r | (1 << (hi - v)), slot + 1,
+                         head_mask if s else (1 << (hi - v - lo + 1)) - 1, card + 1)
+        return total
+
+    f = rec(0, 0, 0, 0, engine.head_mask(0), 0)
+    hist = [0] * width
+    for i, n in enumerate(pairs):
+        if n:
+            card, k = divmod(i, width)
+            for j in range(k + 1):
+                hist[card + j] += n * comb(k, j)
+    return f, f_max, hist
+
+
+def _tally(u: Universe, cap: int,
+           found: Optional[list[int]] = None) -> tuple[int, int, dict[int, int]]:
+    """(count, maximal count, {cardinality: count}) from one walk.
+
+    found, if given, collects the masks of the maximal sets.
+    """
+    _require_ground(u, cap)
+    engine = _engine_for(u)
+    if isinstance(engine, _IntervalEngine):
+        f, f_max, hist = _interval_tally(engine, found)
+    else:
+        ground = engine.ground_mask
+        hist = [0] * (engine.order + 1)
+        f_max = 0
+
+        def visit(s: int, forbidden: int) -> None:
+            # for groups the forbidden mask is exactly the elements that
+            # cannot join s
+            nonlocal f_max
+            hist[s.bit_count()] += 1
+            if not ground & ~(s | forbidden):
+                f_max += 1
+                if found is not None:
+                    found.append(s)
+
+        f = _walk(engine, visit, 0, 0, 0)
+    return f, f_max, {m: c for m, c in enumerate(hist) if c}
+
+
 @lru_cache(maxsize=None)
 def _interval_count(lo: int, hi: int) -> int:
-    return _walk(_IntervalEngine(lo, hi), None, 0, 0, 0)
+    return _interval_walk(_IntervalEngine(lo, hi), 0, 0, 0)
 
 
 @lru_cache(maxsize=None)
@@ -195,7 +328,35 @@ def enumerate_sum_free(u: Universe, visit: Callable[[ElemSet], None],
     """Invoke visit on every sum-free subset (ascending lexicographic order)."""
     _require_ground(u, cap)
     engine = _engine_for(u)
-    return _walk(engine, lambda mask: visit(ElemSet(u, mask)), 0, 0, 0)
+    return _walk(engine, lambda mask, _: visit(ElemSet(u, mask)), 0, 0, 0)
+
+
+def _check_shard_count(shard_count: int) -> None:
+    if shard_count < 1 or shard_count & (shard_count - 1):
+        raise ValueError(f"shard_count must be a power of two, got {shard_count}")
+
+
+def _shard_root(engine, shard_index: int,
+                shard_count: int) -> Optional[tuple[int, int, int]]:
+    """(set, forbidden mask, first free slot) the shard's walk starts from.
+
+    None when the shard's fixed elements are not sum-free or not there.
+    """
+    k = shard_count.bit_length() - 1
+    s = f = 0
+    for j in range(k):
+        include = (shard_index >> j) & 1
+        if j >= engine.ground_count:
+            if include:
+                return None
+            continue
+        slot = engine.slot_for_position(j)
+        if include:
+            if (f >> slot) & 1:
+                return None
+            f = engine.forbid(s, f, slot)
+            s |= 1 << slot
+    return s, f, engine.slot_for_position(min(k, engine.ground_count))
 
 
 def count_sum_free_sharded(u: Universe, shard_index: int, shard_count: int,
@@ -206,28 +367,37 @@ def count_sum_free_sharded(u: Universe, shard_index: int, shard_count: int,
     log2(shard_count) ground elements, so the shards partition the family
     and their totals sum to count_sum_free.
     """
-    if shard_count < 1 or shard_count & (shard_count - 1):
-        raise ValueError(f"shard_count must be a power of two, got {shard_count}")
+    _check_shard_count(shard_count)
     if not 0 <= shard_index < shard_count:
         raise ValueError(f"shard_index {shard_index} out of range for {shard_count}")
     _require_ground(u, cap)
     engine = _engine_for(u)
-    k = shard_count.bit_length() - 1
-    s = f = 0
-    for j in range(k):
-        include = (shard_index >> j) & 1
-        if j >= engine.ground_count:
-            if include:
-                return 0
-            continue
-        slot = engine.slot_for_position(j)
-        if include:
-            if (f >> slot) & 1:
-                return 0
-            f = engine.forbid(s, f, slot)
-            s |= 1 << slot
-    min_slot = engine.slot_for_position(min(k, engine.ground_count))
-    return _walk(engine, None, s, f, min_slot)
+    root = _shard_root(engine, shard_index, shard_count)
+    if root is None:
+        return 0
+    if isinstance(engine, _IntervalEngine):
+        return _interval_walk(engine, *root)
+    return _walk(engine, None, *root)
+
+
+def count_by_largest(u: IntervalUniverse, shard_count: int = 1,
+                     cap: int = DEFAULT_GROUND_CAP) -> list[int]:
+    """Sum-free subsets of [lo, hi] by largest element, in one walk per shard.
+
+    Entry 0 counts the empty set and entry i the sets whose largest
+    element is lo + i - 1.  The walk adds elements in ascending order, so
+    the sum-free subsets of [lo, n] are exactly those with largest element
+    at most n: the prefix sums are the counts of every [lo, n], n <= hi.
+    """
+    _check_shard_count(shard_count)
+    _require_ground(u, cap)
+    engine = _IntervalEngine(u.lo, u.hi)
+    by_top = [0] * (engine.ground_count + 1)
+    for i in range(shard_count):
+        root = _shard_root(engine, i, shard_count)
+        if root is not None:
+            _interval_walk(engine, *root, by_top)
+    return by_top
 
 
 def _greedy_cardinality(engine) -> int:
@@ -276,98 +446,20 @@ def enumerate_maximum(u: Universe, cap: int = DEFAULT_GROUND_CAP) -> list[ElemSe
     return [ElemSet(u, mask) for mask in found]
 
 
-def _maximal_walk(u: Universe, collect: bool, cap: int) -> tuple[int, list[ElemSet]]:
-    _require_ground(u, cap)
-    engine = _engine_for(u)
-    out: list[ElemSet] = []
-    count = 0
-
-    def rec(s: int, f: int, min_slot: int) -> None:
-        nonlocal count
-        cand = engine.ground_mask & ~f & ~s
-        maximal = True
-        m = cand
-        while m:
-            b = m & -m
-            m ^= b
-            if not engine.extension_blocked(s, b.bit_length() - 1):
-                maximal = False
-                break
-        if maximal:
-            count += 1
-            if collect:
-                out.append(ElemSet(u, s))
-        avail = engine.ground_mask & ~f & (-1 << min_slot)
-        while avail:
-            b = avail & -avail
-            avail ^= b
-            slot = b.bit_length() - 1
-            rec(s | b, engine.forbid(s, f, slot), slot + 1)
-
-    rec(0, 0, 0)
-    return count, out
-
-
 def enumerate_maximal(u: Universe, cap: int = DEFAULT_GROUND_CAP) -> list[ElemSet]:
     """All maximal sum-free sets: those rejecting every one-element extension."""
-    return _maximal_walk(u, True, cap)[1]
+    found: list[int] = []
+    _tally(u, cap, found)
+    return [ElemSet(u, mask) for mask in found]
 
 
 def count_maximal(u: Universe, cap: int = DEFAULT_GROUND_CAP) -> int:
-    return _maximal_walk(u, False, cap)[0]
+    return _tally(u, cap)[1]
 
 
 def count_by_cardinality(u: Universe, cap: int = DEFAULT_GROUND_CAP) -> dict[int, int]:
     """Histogram {m: number of sum-free sets of cardinality m}; sums to the count."""
-    _require_ground(u, cap)
-    engine = _engine_for(u)
-    hist: dict[int, int] = {}
-
-    def visit(mask: int) -> None:
-        c = mask.bit_count()
-        hist[c] = hist.get(c, 0) + 1
-
-    _walk(engine, visit, 0, 0, 0)
-    return dict(sorted(hist.items()))
-
-
-def _two_wise_splits(mask: int, n: int) -> bool:
-    """Can the value-indexed subset mask of [1, n] be 2-colored sum-free?"""
-    elems = []
-    m = mask
-    while m:
-        b = m & -m
-        m ^= b
-        elems.append(b.bit_length() - 1)
-
-    def addable(part: int, v: int) -> bool:
-        if (part >> v) & part:
-            return False
-        if 2 * v <= n and (part >> (2 * v)) & 1:
-            return False
-        low = part & ((1 << v) - 1)
-        while low:
-            b = low & -low
-            low ^= b
-            x = b.bit_length() - 1
-            if (part >> (v - x)) & 1:
-                return False
-        return True
-
-    def rec(i: int, p0: int, p1: int) -> bool:
-        if i == len(elems):
-            return True
-        v = elems[i]
-        if addable(p0, v) and rec(i + 1, p0 | (1 << v), p1):
-            return True
-        if addable(p1, v) and rec(i + 1, p0, p1 | (1 << v)):
-            return True
-        return False
-
-    if not elems:
-        return True
-    # first element goes to part 0 without loss of generality
-    return rec(1, 1 << elems[0], 0)
+    return _tally(u, cap)[2]
 
 
 def count_two_wise(n: int, cap: int = TWO_WISE_CAP) -> int:
@@ -375,16 +467,36 @@ def count_two_wise(n: int, cap: int = TWO_WISE_CAP) -> int:
 
     Equals 2^n for n <= 4 (a two-part split of [1, 4] exists, so every
     subset inherits one); the first shortfall appears at n = 5.
+
+    Walks the subsets in ascending order, carrying every split of the
+    current set as (part, its sums, other part, its sums), value-indexed
+    masks.  A larger element joins a part unless it is a sum of two of
+    that part's members.  The family is closed under taking subsets, so a
+    set with no split left ends its branch.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > cap:
         raise CapacityError(f"two-wise counting capped at n <= {cap}, got {n}")
-    total = 0
-    for r in range(1 << n):
-        if _two_wise_splits(r << 1, n):
-            total += 1
-    return total
+    window = (1 << (n + 1)) - 1
+
+    def rec(splits: list[tuple[int, int, int, int]], first: int) -> int:
+        total = 1
+        for v in range(first, n + 1):
+            b = 1 << v
+            grown = []
+            for p, sums, q, other in splits:
+                if not sums & b:
+                    grown.append((p | b, sums | (((p | b) << v) & window), q, other))
+                if not other & b:
+                    grown.append((q | b, other | (((q | b) << v) & window), p, sums))
+            if grown:
+                total += rec(grown, v + 1)
+        return total
+
+    # the smallest element goes to the first part without loss of generality
+    return 1 + sum(rec([(1 << v, (1 << 2 * v) & window, 0, 0)], v + 1)
+                   for v in range(1, n + 1))
 
 
 @dataclass
@@ -408,14 +520,22 @@ def build_count_record(u: Universe, with_maximal: bool = False,
                        with_two_wise: bool = False,
                        shard_count: int = 1,
                        cap: int = DEFAULT_GROUND_CAP) -> CountRecord:
-    """Assemble a CountRecord for one universe, sharding the base count."""
-    if shard_count == 1:
-        f = count_sum_free(u, cap)
-    else:
+    """Assemble a CountRecord for one universe, sharding the base count.
+
+    The maximal count and the histogram come from one walk, which also
+    gives the count unless it is sharded.
+    """
+    _check_shard_count(shard_count)
+    fused = with_maximal or with_cardinality
+    if fused:
+        f, f_max, hist = _tally(u, cap)
+    if shard_count > 1:
         f = sum(
             count_sum_free_sharded(u, i, shard_count, cap)
             for i in range(shard_count)
         )
+    elif not fused:
+        f = count_sum_free(u, cap)
     rec = CountRecord(universe=u.describe(), size=u.ground_size, f=f,
                       shard_count=shard_count)
     if isinstance(u, IntervalUniverse) and u.lo == 1:
@@ -424,9 +544,9 @@ def build_count_record(u: Universe, with_maximal: bool = False,
         rec.f_interval = count_sum_free(IntervalUniverse((n + 2) // 3, n), cap)
         rec.ratio_half = f / 2 ** (n / 2)
     if with_maximal:
-        rec.f_max = count_maximal(u, cap)
+        rec.f_max = f_max
     if with_cardinality:
-        rec.by_cardinality = count_by_cardinality(u, cap)
+        rec.by_cardinality = hist
     if with_two_wise:
         if not (isinstance(u, IntervalUniverse) and u.lo == 1):
             raise ValueError("two-wise counting is defined for [1, n] universes")

@@ -36,10 +36,6 @@ class IntervalUniverse:
             raise ValueError(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
 
     @property
-    def index_size(self) -> int:
-        return self.hi - self.lo + 1
-
-    @property
     def ground_size(self) -> int:
         return self.hi - self.lo + 1
 
@@ -74,10 +70,6 @@ class GroupUniverse:
     """A finite abelian group; the ground set excludes the identity."""
 
     group: GroupSpec
-
-    @property
-    def index_size(self) -> int:
-        return self.group.order
 
     @property
     def ground_size(self) -> int:
@@ -173,10 +165,11 @@ def is_sum_free(u: Universe, s: ElemSet) -> bool:
     """True iff no x, y in s (x = y allowed) have x + y in s."""
     _check_universe(u, s)
     mem = s.members()
+    members = set(mem)
     for i, x in enumerate(mem):
         for y in mem[i:]:
             sv = u.sum_value(x, y)
-            if sv is not None and sv in s:
+            if sv is not None and sv in members:
                 return False
     return True
 
@@ -217,11 +210,12 @@ def count_schur_triples(u: Universe, s: ElemSet) -> int:
     """
     _check_universe(u, s)
     mem = s.members()
+    members = set(mem)
     total = 0
     for x in mem:
         for y in mem:
             sv = u.sum_value(x, y)
-            if sv is not None and sv in s:
+            if sv is not None and sv in members:
                 total += 1
     return total
 
@@ -256,29 +250,31 @@ def is_maximal_sum_free(u: Universe, s: ElemSet) -> bool:
 def is_two_wise_sum_free(u: Universe, s: ElemSet) -> bool:
     """True iff s splits into two disjoint sum-free parts (either may be empty).
 
-    Every sum-free set trivially qualifies.  Decided by backtracking
-    2-coloring against the Schur-triple constraints inside s.
+    Every sum-free set trivially qualifies.  Otherwise decided by
+    backtracking 2-coloring against the Schur-triple constraints inside s,
+    on an explicit stack so that large sets cannot exhaust the recursion
+    limit.
     """
-    _check_universe(u, s)
-    elems = s.members()
-    if not elems:
+    if is_sum_free(u, s):
         return True
+    elems = s.members()
     parts: tuple[set[int], set[int]] = (set(), set())
-
-    def assign(i: int) -> bool:
-        if i == len(elems):
-            return True
+    chosen: list[int] = []  # the part of elems[i] for each placed i
+    first_try = 0
+    while len(chosen) < len(elems):
+        i = len(chosen)
         v = elems[i]
-        for part in parts:
-            if _can_extend(u, part, v):
-                part.add(v)
-                if assign(i + 1):
-                    return True
-                part.remove(v)
-        return False
-
-    # the first element can go into the first part without loss of generality
-    if not _can_extend(u, parts[0], elems[0]):
-        return False
-    parts[0].add(elems[0])
-    return assign(1)
+        # the first element can go into the first part without loss of generality
+        for p in range(first_try, 1 if i == 0 else 2):
+            if _can_extend(u, parts[p], v):
+                parts[p].add(v)
+                chosen.append(p)
+                first_try = 0
+                break
+        else:
+            if not chosen:
+                return False
+            p = chosen.pop()
+            parts[p].remove(elems[len(chosen)])
+            first_try = p + 1
+    return True

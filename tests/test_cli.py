@@ -114,6 +114,19 @@ def test_sweep_intervals_golden_rows(capsys):
     assert fs == sorted(fs) and len(set(fs)) == len(fs)
 
 
+def test_sweep_intervals_cap_checked_before_any_walk(capsys, monkeypatch):
+    import sumfree.enumeration
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walker called although the cap is exceeded")
+
+    monkeypatch.setattr(sumfree.enumeration, "_interval_walk", no_walk)
+    monkeypatch.setattr(sumfree.enumeration, "_walk", no_walk)
+    code, out, err = run(capsys, "sweep-intervals", "--n-max", "41")
+    assert code == 3 and out == ""
+    assert "capacity" in err and "cap is 40" in err
+
+
 def test_sweep_intervals_shard_invariance(capsys):
     code1, body1, _ = run(capsys, "sweep-intervals", "--n-max", "12")
     code8, body8, _ = run(capsys, "sweep-intervals", "--n-max", "12",

@@ -1,9 +1,10 @@
 import pytest
 
-from oracles import two_wise_count_oracle
+from oracles import sum_free_table, two_wise_count_oracle
 from sumfree.enumeration import (
     build_count_record,
     count_by_cardinality,
+    count_by_largest,
     count_maximal,
     count_sum_free,
     count_sum_free_sharded,
@@ -211,3 +212,61 @@ def test_build_count_record():
     assert rec2.f == 9
     with pytest.raises(ValueError):
         build_count_record(GroupUniverse(make_group([5])), with_two_wise=True)
+    with pytest.raises(ValueError):
+        build_count_record(IntervalUniverse(1, 4), shard_count=0)
+
+
+def _filtered(u):
+    """(count, maximal count, histogram, maximal sets) by filtering the walk."""
+    family = []
+    enumerate_sum_free(u, family.append)
+    hist = {}
+    for s in family:
+        hist[s.cardinality] = hist.get(s.cardinality, 0) + 1
+    maximal = {s.members() for s in family if is_maximal_sum_free(u, s)}
+    return len(family), len(maximal), dict(sorted(hist.items())), maximal
+
+
+def test_fused_pass_matches_filtered_enumeration():
+    universes = [IntervalUniverse(lo, hi) for lo in (1, 2, 5) for hi in range(lo, 15)]
+    universes += [GroupUniverse(g) for order in range(1, 17)
+                  for g in abelian_groups_of_order(order)]
+    for u in universes:
+        f, f_max, hist, maximal = _filtered(u)
+        rec = build_count_record(u, with_maximal=True, with_cardinality=True)
+        assert (rec.f, rec.f_max, rec.by_cardinality) == (f, f_max, hist), u
+        found = [s.members() for s in enumerate_maximal(u)]
+        assert len(found) == len(maximal) and set(found) == maximal, u
+
+
+def _prefix_counts(by_top):
+    counts, total = [], 0
+    for c in by_top:
+        total += c
+        counts.append(total)
+    return counts
+
+
+def test_single_pass_sweep_prefix_counts():
+    prefix = _prefix_counts(count_by_largest(IntervalUniverse(1, 33)))
+    for n in range(1, 34):
+        assert prefix[n] == count_sum_free(IntervalUniverse(1, n)), n
+    table = sum_free_table(20)
+    for n in range(1, 21):
+        assert prefix[n] == sum(table[:1 << (n + 1)]), n
+    assert prefix[20] == 9583
+    # sub-intervals: entry i counts the sets topped by lo + i - 1
+    prefix = _prefix_counts(count_by_largest(IntervalUniverse(4, 20)))
+    for hi in range(4, 21):
+        assert prefix[hi - 3] == count_sum_free(IntervalUniverse(4, hi)), hi
+
+
+def test_sharded_sweep_matches_unsharded():
+    for u in (IntervalUniverse(1, 24), IntervalUniverse(3, 17), IntervalUniverse(1, 2)):
+        plain = count_by_largest(u)
+        for k in (2, 4, 8, 64):
+            assert count_by_largest(u, k) == plain, (u, k)
+    with pytest.raises(ValueError):
+        count_by_largest(IntervalUniverse(1, 5), 3)
+    with pytest.raises(CapacityError):
+        count_by_largest(IntervalUniverse(1, 41))

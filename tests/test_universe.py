@@ -166,3 +166,16 @@ def test_two_wise_examples():
     # a group set containing the identity cannot be split
     g = GroupUniverse(make_group([5]))
     assert not is_two_wise_sum_free(g, ElemSet.from_values(g, [0, 1]))
+
+
+def test_two_wise_large_sets_get_an_answer():
+    # more members than the default recursion limit allows frames
+    u = IntervalUniverse(1, 2200)
+    odds = list(range(1, 2201, 2))
+    assert is_two_wise_sum_free(u, ElemSet.from_values(u, odds))
+    # 1 + 1 = 2: not sum-free, but {2} and the odds split it
+    planted = ElemSet.from_values(u, odds + [2])
+    assert not is_sum_free(u, planted)
+    assert is_two_wise_sum_free(u, planted)
+    # [1, 5] has no 2-coloring, so no superset has one
+    assert not is_two_wise_sum_free(u, ElemSet.from_values(u, range(1, 1201)))
