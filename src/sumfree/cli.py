@@ -25,7 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .analysis import (
     density_report,
@@ -37,7 +37,13 @@ from .analysis import (
 from .enumeration import build_count_record, count_by_largest, count_sum_free
 from .errors import CapacityError, GenerationTimeout
 from .generate import RandomGenConfig, extract_sum_free, random_sum_free
-from .groups import abelian_groups_of_order, index2_subgroups, make_group
+from .groups import (
+    DEFAULT_MAX_ORDER,
+    GroupSpec,
+    abelian_groups_of_order,
+    index2_subgroups,
+    make_group,
+)
 from .universe import (
     ElemSet,
     GroupUniverse,
@@ -105,6 +111,21 @@ def _rows_to_csv(fieldnames: list[str], rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+def _emit_rows(fieldnames: list[str], rows: list[dict], fmt: str, path: Optional[str]) -> None:
+    if fmt == "json":
+        _emit(json.dumps(rows, indent=2) + "\n", path)
+    else:
+        _emit(_rows_to_csv(fieldnames, rows), path)
+
+
+def _read_int_array(path: str) -> list[int]:
+    with open(path, encoding="utf-8") as fh:
+        values = json.load(fh)
+    if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
+        raise ValueError(f"{path}: expected a JSON array of integers")
+    return values
+
+
 def _moduli_label(moduli: tuple[int, ...]) -> str:
     return "x".join(str(m) for m in moduli) if moduli else "1"
 
@@ -114,11 +135,11 @@ def _moduli_label(moduli: tuple[int, ...]) -> str:
 
 def cmd_verify(args) -> int:
     u = _universe_from_args(args)
-    with open(args.set, encoding="utf-8") as fh:
-        values = json.load(fh)
-    if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
-        raise ValueError(f"{args.set}: expected a JSON array of integers")
-    s = ElemSet.from_values(u, values)
+    if u.ground_size > DEFAULT_MAX_ORDER:  # group orders are capped by make_group
+        raise CapacityError(
+            f"{u.describe()} has {u.ground_size} elements, cap is {DEFAULT_MAX_ORDER}"
+        )
+    s = ElemSet.from_values(u, _read_int_array(args.set))
     sf = is_sum_free(u, s)
     report = {
         "universe": u.describe(),
@@ -199,117 +220,74 @@ def cmd_sweep_intervals(args) -> int:
         output_path=args.out,
         format=args.format,
     )
-    rows = interval_sweep_rows(cfg)
-    if cfg.format == "json":
-        _emit(json.dumps(rows, indent=2) + "\n", cfg.output_path)
-    else:
-        _emit(_rows_to_csv(["n", "f", "log2_f", "half_n", "ratio", "parity"], rows),
-              cfg.output_path)
+    _emit_rows(["n", "f", "log2_f", "half_n", "ratio", "parity"], interval_sweep_rows(cfg),
+               cfg.format, cfg.output_path)
     return 0
 
 
+def _mu_row(g: GroupSpec) -> dict:
+    rep = density_report(g)
+    return {"mu": str(rep.mu), "mu_float": f"{float(rep.mu):.6f}", "v": str(rep.v),
+            "v_case": rep.v_case, "agree": rep.agree}
+
+
+def _index2_row(g: GroupSpec) -> dict:
+    ok = verify_index2_structure(g)
+    return {"subgroups": len(index2_subgroups(g)),
+            "expected": (1 << g.even_component_count()) - 1,
+            "coset_equality": "n/a" if ok is None else ok}
+
+
+def _lev_row(g: GroupSpec) -> dict:
+    if g.order % 2:
+        return dict.fromkeys(("leading", "f", "ratio", "ratio_float"), "n/a")
+    leading, ratio = even_order_leading_term(g)
+    return {"leading": leading, "f": count_sum_free(GroupUniverse(g)), "ratio": str(ratio),
+            "ratio_float": f"{float(ratio):.6f}"}
+
+
+def _giudici1_rows(max_order: int) -> Callable[[GroupSpec], dict]:
+    hits = {g.moduli: wits for g, wits in singleton_maximal_groups(max_order)}
+    return lambda g: {"witnesses": ";".join(str(w.index) for w in hits.get(g.moduli, ()))}
+
+
+def _giudici2_rows(max_order: int) -> Callable[[GroupSpec], dict]:
+    pairs: dict[tuple[int, ...], list[str]] = {}
+    for g, s in pair_maximal_groups(max_order):
+        pairs.setdefault(g.moduli, []).append(":".join(str(v) for v in s.members()))
+    return lambda g: {"pairs": ";".join(pairs.get(g.moduli, []))}
+
+
+# check -> (its columns, a function of max_order giving the row builder)
+GROUP_CHECKS: dict[str, tuple[list[str], Callable[[int], Callable[[GroupSpec], dict]]]] = {
+    "mu": (["mu", "mu_float", "v", "v_case", "agree"], lambda _: _mu_row),
+    "index2": (["subgroups", "expected", "coset_equality"], lambda _: _index2_row),
+    "lev": (["leading", "f", "ratio", "ratio_float"], lambda _: _lev_row),
+    "giudici1": (["witnesses"], _giudici1_rows),
+    "giudici2": (["pairs"], _giudici2_rows),
+}
+
+
 def group_sweep_rows(max_order: int, check: str) -> tuple[list[str], list[dict]]:
-    rows: list[dict] = []
-    if check == "mu":
-        fields = ["moduli", "order", "mu", "mu_float", "v", "v_case", "agree"]
-        for n in range(2, max_order + 1):
-            for g in abelian_groups_of_order(n):
-                rep = density_report(g)
-                rows.append(
-                    {
-                        "moduli": _moduli_label(g.moduli),
-                        "order": n,
-                        "mu": str(rep.mu),
-                        "mu_float": f"{float(rep.mu):.6f}",
-                        "v": str(rep.v),
-                        "v_case": rep.v_case,
-                        "agree": rep.agree,
-                    }
-                )
-        return fields, rows
-    if check == "index2":
-        fields = ["moduli", "order", "subgroups", "expected", "coset_equality"]
-        for n in range(2, max_order + 1):
-            for g in abelian_groups_of_order(n):
-                ok = verify_index2_structure(g)
-                rows.append(
-                    {
-                        "moduli": _moduli_label(g.moduli),
-                        "order": n,
-                        "subgroups": len(index2_subgroups(g)),
-                        "expected": (1 << g.even_component_count()) - 1,
-                        "coset_equality": "n/a" if ok is None else ok,
-                    }
-                )
-        return fields, rows
-    if check == "lev":
-        fields = ["moduli", "order", "leading", "f", "ratio", "ratio_float"]
-        for n in range(2, max_order + 1):
-            for g in abelian_groups_of_order(n):
-                row = {"moduli": _moduli_label(g.moduli), "order": n}
-                if n % 2:
-                    row.update(leading="n/a", f="n/a", ratio="n/a", ratio_float="n/a")
-                else:
-                    leading, ratio = even_order_leading_term(g)
-                    row.update(
-                        leading=leading,
-                        f=count_sum_free(GroupUniverse(g)),
-                        ratio=str(ratio),
-                        ratio_float=f"{float(ratio):.6f}",
-                    )
-                rows.append(row)
-        return fields, rows
-    if check == "giudici1":
-        fields = ["moduli", "order", "witnesses"]
-        hits = {
-            g.moduli: wits for g, wits in singleton_maximal_groups(max_order)
-        }
-        for n in range(2, max_order + 1):
-            for g in abelian_groups_of_order(n):
-                wits = hits.get(g.moduli, ())
-                rows.append(
-                    {
-                        "moduli": _moduli_label(g.moduli),
-                        "order": n,
-                        "witnesses": ";".join(str(w.index) for w in wits),
-                    }
-                )
-        return fields, rows
-    if check == "giudici2":
-        fields = ["moduli", "order", "pairs"]
-        pairs: dict[tuple[int, ...], list[str]] = {}
-        for g, s in pair_maximal_groups(max_order):
-            pairs.setdefault(g.moduli, []).append(
-                ":".join(str(v) for v in s.members())
-            )
-        for n in range(2, max_order + 1):
-            for g in abelian_groups_of_order(n):
-                rows.append(
-                    {
-                        "moduli": _moduli_label(g.moduli),
-                        "order": n,
-                        "pairs": ";".join(pairs.get(g.moduli, [])),
-                    }
-                )
-        return fields, rows
-    raise ValueError(f"unknown check {check!r}")
+    if check not in GROUP_CHECKS:
+        raise ValueError(f"unknown check {check!r}")
+    fields, builder = GROUP_CHECKS[check]
+    row = builder(max_order)
+    rows = [
+        {"moduli": _moduli_label(g.moduli), "order": n, **row(g)}
+        for n in range(2, max_order + 1)
+        for g in abelian_groups_of_order(n)
+    ]
+    return ["moduli", "order", *fields], rows
 
 
 def cmd_sweep_groups(args) -> int:
-    fields, rows = group_sweep_rows(args.max_order, args.check)
-    if args.format == "json":
-        _emit(json.dumps(rows, indent=2) + "\n", args.out)
-    else:
-        _emit(_rows_to_csv(fields, rows), args.out)
+    _emit_rows(*group_sweep_rows(args.max_order, args.check), args.format, args.out)
     return 0
 
 
 def cmd_extract(args) -> int:
-    with open(args.input, encoding="utf-8") as fh:
-        values = json.load(fh)
-    if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
-        raise ValueError(f"{args.input}: expected a JSON array of integers")
-    trace = extract_sum_free(values)
+    trace = extract_sum_free(_read_int_array(args.input))
     if args.trace:
         _emit(json.dumps(trace.to_json_dict(), indent=2) + "\n", args.out)
     else:
@@ -363,11 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-groups", help="per-class checks over abelian groups")
     p.add_argument("--max-order", type=int, required=True)
-    p.add_argument(
-        "--check",
-        required=True,
-        choices=["mu", "index2", "lev", "giudici1", "giudici2"],
-    )
+    p.add_argument("--check", required=True, choices=list(GROUP_CHECKS))
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep_groups)

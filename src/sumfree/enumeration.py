@@ -15,14 +15,14 @@ can break sum-freeness is by being a sum of two chosen elements; the mask
 is just the running sumset.  For groups, wraparound means a candidate can
 also hit a chosen element by addition or halving, so the mask tracks the
 sumset, the difference set and the half-set together, which also makes
-the maximality test a single mask comparison.
+the maximality test a single mask comparison.  Adding an element costs
+two translations of index masks (GroupSpec.translation_steps).
 
 Interval counts do not visit every set.  Once the smallest candidate c
 satisfies c + min(s | {c}) > hi, no sum of two members can reach a
 remaining candidate, so all 2^k subsets of the k remaining candidates
-("the free tail") extend s and are counted in one step.  Enumerating
-walks (enumerate_sum_free, enumerate_maximum) and group counts visit one
-node per set.
+("the free tail") extend s and are counted in one step.  Group counts
+visit one node per set, but build no mask for a leaf.
 
 Sharded counting fixes the first log2(shard_count) include/exclude
 decisions from the bits of the shard index (bit j governs ground element
@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Optional
 
-from .groups import GroupSpec
+from .groups import GroupSpec, _rotate
 from .universe import (
     ElemSet,
     GroupUniverse,
@@ -53,7 +53,7 @@ TWO_WISE_CAP = 18
 class _IntervalEngine:
     """Mask arithmetic over slots v - lo for the interval [lo, hi]."""
 
-    __slots__ = ("lo", "hi", "window", "ground_mask", "ground_count")
+    __slots__ = ("lo", "hi", "window", "ground_mask", "ground_count", "first_slot")
 
     def __init__(self, lo: int, hi: int):
         self.lo = lo
@@ -62,9 +62,7 @@ class _IntervalEngine:
         self.window = (1 << n) - 1
         self.ground_mask = self.window
         self.ground_count = n
-
-    def slot_for_position(self, j: int) -> int:
-        return j
+        self.first_slot = 0  # slot of ground element 0
 
     def forbid(self, s_mask: int, f_mask: int, slot: int) -> int:
         # adding v puts every x + v (x in the new set, v included) off limits;
@@ -81,50 +79,39 @@ class _IntervalEngine:
 
 
 class _GroupEngine:
-    """Table-driven mask arithmetic over canonical indices of a group."""
+    """Mask arithmetic over canonical indices of a group, by translation.
 
-    __slots__ = ("order", "ground_mask", "ground_count", "add", "sub", "halves")
+    Adding v to s forbids s' + v, s' - v and v - s' (s' = s | {v}), and
+    the halves of v: one translation by v of s' | -s' and one by -v of
+    s'.  The forbidden mask carries -s' above bit order, where the ground
+    tests do not look.
+    """
+
+    __slots__ = ("order", "ground_mask", "ground_count", "first_slot", "plans")
 
     def __init__(self, group: GroupSpec):
-        order = group.order
-        coords = [group.index_to_coords(i) for i in range(order)]
-        moduli = group.moduli
-        add = []
-        for a in coords:
-            row = [
-                group.coords_to_index(
-                    tuple((x + y) % m for x, y, m in zip(a, b, moduli))
-                )
-                for b in coords
-            ]
-            add.append(row)
+        order, neg = group.order, group.negation
         halves = [0] * order
         for u in range(order):
-            halves[add[u][u]] |= 1 << u
+            halves[group.add_index(u, u)] |= 1 << u
+        steps = [group.translation_steps(v) for v in range(order)]
         self.order = order
-        self.ground_mask = ((1 << order) - 1) & ~1 if order > 1 else 0
+        self.ground_mask = (1 << order) - 2
         self.ground_count = order - 1
-        self.add = add
-        neg = [group.neg_index(i) for i in range(order)]
-        self.sub = [[add[a][neg[b]] for b in range(order)] for a in range(order)]
-        self.halves = halves
-
-    def slot_for_position(self, j: int) -> int:
-        return j + 1
+        self.first_slot = 1  # the identity is not a candidate
+        # per slot v: its halves and -v (above bit order), the rotations by
+        # v and by -v; none by -v when v = -v, as then s' - v = s' + v
+        self.plans = [
+            (halves[v] | 1 << (order + neg[v]), steps[v], steps[neg[v]] if neg[v] != v else None)
+            for v in range(order)
+        ]
 
     def forbid(self, s_mask: int, f_mask: int, slot: int) -> int:
-        add_row = self.add[slot]
-        sub_tbl = self.sub
-        nf = f_mask | self.halves[slot]
-        m = s_mask | (1 << slot)
-        while m:
-            b = m & -m
-            m ^= b
-            x = b.bit_length() - 1
-            nf |= 1 << add_row[x]
-            nf |= 1 << sub_tbl[x][slot]
-            nf |= 1 << sub_tbl[slot][x]
-        return nf
+        own, plus, minus = self.plans[slot]
+        s2 = s_mask | (1 << slot)
+        nf = f_mask | own
+        nf |= _rotate(s2 | (nf >> self.order), plus)
+        return nf if minus is None else nf | _rotate(s2, minus)
 
 
 def _engine_for(u: Universe):
@@ -144,7 +131,10 @@ def _require_ground(u: Universe, cap: int) -> None:
 
 def _walk(engine, visit: Optional[Callable[[int, int], None]], s: int, f: int,
           min_slot: int) -> int:
-    """Count the sets below s, one node per set; visit(s, forbidden) at each."""
+    """Count the sets below s, one node per set; visit(s, forbidden) at each.
+
+    Without a visit, the child on the last candidate (a leaf) gets no mask.
+    """
     if visit is not None:
         visit(s, f)
     total = 1
@@ -152,8 +142,11 @@ def _walk(engine, visit: Optional[Callable[[int, int], None]], s: int, f: int,
     while avail:
         b = avail & -avail
         avail ^= b
-        slot = b.bit_length() - 1
-        total += _walk(engine, visit, s | b, engine.forbid(s, f, slot), slot + 1)
+        if avail or visit is not None:
+            slot = b.bit_length() - 1
+            total += _walk(engine, visit, s | b, engine.forbid(s, f, slot), slot + 1)
+        else:
+            total += 1
     return total
 
 
@@ -350,13 +343,13 @@ def _shard_root(engine, shard_index: int,
             if include:
                 return None
             continue
-        slot = engine.slot_for_position(j)
+        slot = engine.first_slot + j
         if include:
             if (f >> slot) & 1:
                 return None
             f = engine.forbid(s, f, slot)
             s |= 1 << slot
-    return s, f, engine.slot_for_position(min(k, engine.ground_count))
+    return s, f, engine.first_slot + min(k, engine.ground_count)
 
 
 def count_sum_free_sharded(u: Universe, shard_index: int, shard_count: int,
@@ -400,30 +393,17 @@ def count_by_largest(u: IntervalUniverse, shard_count: int = 1,
     return by_top
 
 
-def _greedy_cardinality(engine) -> int:
-    s = f = 0
-    card = 0
-    avail = engine.ground_mask
-    while avail:
-        b = avail & -avail
-        slot = b.bit_length() - 1
-        f = engine.forbid(s, f, slot)
-        s |= b
-        card += 1
-        avail = engine.ground_mask & ~f & (-1 << (slot + 1))
-    return card
-
-
 def enumerate_maximum(u: Universe, cap: int = DEFAULT_GROUND_CAP) -> list[ElemSet]:
     """All sum-free sets of maximum cardinality, ascending lexicographic.
 
-    Branch and bound: a greedy pass seeds the target cardinality (for
-    intervals the greedy set is exactly the odds), then the walk prunes
-    any branch whose set plus remaining candidates cannot reach the best.
+    Branch and bound: the first descent builds the greedy set (for
+    intervals, the odds), which seeds the best cardinality; then the walk
+    skips any child whose set plus the candidates above it cannot reach
+    the best, before computing its forbidden mask.
     """
     _require_ground(u, cap)
     engine = _engine_for(u)
-    best = _greedy_cardinality(engine)
+    best = 0
     found: list[int] = []
 
     def rec(s: int, f: int, min_slot: int, card: int) -> None:
@@ -434,13 +414,16 @@ def enumerate_maximum(u: Universe, cap: int = DEFAULT_GROUND_CAP) -> list[ElemSe
         elif card == best:
             found.append(s)
         avail = engine.ground_mask & ~f & (-1 << min_slot)
-        if card + avail.bit_count() < best:
-            return
         while avail:
             b = avail & -avail
             avail ^= b
+            # the child and every later one can add at most the candidates
+            # above b
+            if card + 1 + avail.bit_count() < best:
+                return
             slot = b.bit_length() - 1
-            rec(s | b, engine.forbid(s, f, slot), slot + 1, card + 1)
+            # the child on the last candidate is a leaf: all forbidden (-1)
+            rec(s | b, engine.forbid(s, f, slot) if avail else -1, slot + 1, card + 1)
 
     rec(0, 0, 0, 0)
     return [ElemSet(u, mask) for mask in found]

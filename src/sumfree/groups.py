@@ -97,15 +97,51 @@ class GroupSpec:
         return Element(c, self.coords_to_index(c))
 
     def add_index(self, i: int, j: int) -> int:
-        a, b = self.index_to_coords(i), self.index_to_coords(j)
-        return self.coords_to_index(
-            tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
-        )
+        out = 0
+        for m, r in zip(self.moduli, self._radices):
+            i, x = divmod(i, m)
+            j, y = divmod(j, m)
+            out += (x + y) % m * r
+        return out
 
     def neg_index(self, i: int) -> int:
         return self.coords_to_index(
             tuple((-x) % m for x, m in zip(self.index_to_coords(i), self.moduli))
         )
+
+    # index masks -----------------------------------------------------------
+
+    @cached_property
+    def negation(self) -> tuple[int, ...]:
+        """negation[i] is the index of -i."""
+        return tuple(self.neg_index(i) for i in range(self.order))
+
+    @cached_property
+    def _block_repeats(self) -> tuple[int, ...]:
+        """Per coordinate, the index mask with the lowest bit of every block
+        of radix * modulus indices set."""
+        full = (1 << self.order) - 1
+        return tuple(full // ((1 << (r * m)) - 1) for m, r in zip(self.moduli, self._radices))
+
+    def translation_steps(self, v: int) -> tuple[tuple[int, int, int], ...]:
+        """The block rotations that map the index mask of X to that of X + v.
+
+        One (low, up, down) per nonzero coordinate a of v, with modulus M
+        and radix r: the bits in low (coordinate below M - a) move up by
+        a*r, the others wrap down by (M - a)*r.  A cyclic group needs one
+        rotation; on Z_2^k each step swaps the halves of the blocks of one
+        coordinate (the XOR butterfly).
+        """
+        return tuple(
+            (((1 << (r * (m - a))) - 1) * repeat, a * r, (m - a) * r)
+            for a, m, r, repeat in zip(self.index_to_coords(v), self.moduli, self._radices,
+                                       self._block_repeats)
+            if a
+        )
+
+    def translate(self, mask: int, v: int) -> int:
+        """Index mask of X + v, for X given by its index mask."""
+        return _rotate(mask, self.translation_steps(v))
 
     # derived structure ----------------------------------------------------
 
@@ -125,6 +161,14 @@ class GroupSpec:
     def to_json_dict(self) -> dict:
         """Wire form {"moduli": [...]}; elements travel as canonical indices."""
         return {"moduli": list(self.moduli)}
+
+
+def _rotate(mask: int, steps: tuple[tuple[int, int, int], ...]) -> int:
+    """Apply block rotations (GroupSpec.translation_steps) to an index mask."""
+    for low, up, down in steps:
+        part = mask & low
+        mask = (part << up) | ((mask ^ part) >> down)
+    return mask
 
 
 def make_group(moduli: Iterable[int], max_order: int = DEFAULT_MAX_ORDER) -> GroupSpec:
@@ -164,37 +208,27 @@ class Subgroup:
             raise ValueError("subgroup must contain the identity")
         if g.order % len(self.members) != 0:
             raise ValueError("subgroup size does not divide the group order")
-        mem = self.members
+        mem, neg, mask = self.members, g.negation, sum(1 << i for i in self.members)
         for i in mem:
-            if g.neg_index(i) not in mem:
+            if neg[i] not in mem:
                 raise ValueError("subgroup not closed under negation")
-            for j in mem:
-                if g.add_index(i, j) not in mem:
-                    raise ValueError("subgroup not closed under addition")
+            if g.translate(mask, i) != mask:
+                raise ValueError("subgroup not closed under addition")
 
     @property
     def order(self) -> int:
         return len(self.members)
 
-    @property
-    def index_in_parent(self) -> int:
-        return self.parent.order // len(self.members)
-
 
 def generated_subgroup(g: GroupSpec, gens: Sequence[Element]) -> Subgroup:
     """Closure of the generators under addition (hence negation, the group
     being finite), including the identity."""
-    members = {0}
-    queue = [0]
-    gen_idx = [e.index for e in gens]
-    while queue:
-        x = queue.pop()
-        for gi in gen_idx:
-            y = g.add_index(x, gi)
-            if y not in members:
-                members.add(y)
-                queue.append(y)
-    return Subgroup(g, frozenset(members))
+    mask, grown = 0, 1
+    while grown != mask:
+        mask = grown
+        for e in gens:
+            grown |= g.translate(mask, e.index)
+    return Subgroup(g, frozenset(i for i in range(g.order) if mask >> i & 1))
 
 
 def index2_subgroups(g: GroupSpec) -> list[Subgroup]:
@@ -209,12 +243,9 @@ def index2_subgroups(g: GroupSpec) -> list[Subgroup]:
     subs = []
     for bits in range(1, 1 << len(even_pos)):
         chosen = [even_pos[j] for j in range(len(even_pos)) if (bits >> j) & 1]
-        members = []
-        for idx in range(g.order):
-            coords = g.index_to_coords(idx)
-            if sum(coords[i] for i in chosen) % 2 == 0:
-                members.append(idx)
-        subs.append(Subgroup(g, frozenset(members)))
+        members = frozenset(idx for idx in range(g.order)
+                            if sum(g.index_to_coords(idx)[i] for i in chosen) % 2 == 0)
+        subs.append(Subgroup(g, members))
     return subs
 
 

@@ -19,6 +19,7 @@ never an error.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
 from .groups import GroupSpec
@@ -61,6 +62,18 @@ class IntervalUniverse:
         d = a - b
         return d if self.lo <= d <= self.hi else None
 
+    @cached_property
+    def ground_mask(self) -> int:
+        return (1 << self.ground_size) - 1
+
+    def plus(self, mask: int, x: int) -> int:
+        """Slot mask of (X + x) inside the interval, X given by its slot mask."""
+        return (mask << x) & self.ground_mask
+
+    def minus(self, mask: int, x: int) -> int:
+        """Slot mask of (X - x) inside the interval."""
+        return mask >> x
+
     def describe(self) -> str:
         return f"interval[{self.lo},{self.hi}]"
 
@@ -94,6 +107,18 @@ class GroupUniverse:
 
     def diff_value(self, a: int, b: int) -> int:
         return self.group.add_index(a, self.group.neg_index(b))
+
+    @cached_property
+    def ground_mask(self) -> int:
+        return (1 << self.group.order) - 2
+
+    def plus(self, mask: int, x: int) -> int:
+        """Index mask of X + x, X given by its index mask."""
+        return self.group.translate(mask, x)
+
+    def minus(self, mask: int, x: int) -> int:
+        """Index mask of X - x."""
+        return self.group.translate(mask, self.group.neg_index(x))
 
     def describe(self) -> str:
         return "group[" + ",".join(str(m) for m in self.group.moduli) + "]"
@@ -162,15 +187,12 @@ def _check_universe(u: Universe, *sets: ElemSet) -> None:
 
 
 def is_sum_free(u: Universe, s: ElemSet) -> bool:
-    """True iff no x, y in s (x = y allowed) have x + y in s."""
+    """True iff no x, y in s (x = y allowed) have x + y in s: s + x misses s."""
     _check_universe(u, s)
-    mem = s.members()
-    members = set(mem)
-    for i, x in enumerate(mem):
-        for y in mem[i:]:
-            sv = u.sum_value(x, y)
-            if sv is not None and sv in members:
-                return False
+    mask = s.mask
+    for x in s.members():
+        if u.plus(mask, x) & mask:
+            return False
     return True
 
 
@@ -209,72 +231,60 @@ def count_schur_triples(u: Universe, s: ElemSet) -> int:
     zero exactly when s is sum-free.
     """
     _check_universe(u, s)
-    mem = s.members()
-    members = set(mem)
-    total = 0
-    for x in mem:
-        for y in mem:
-            sv = u.sum_value(x, y)
-            if sv is not None and sv in members:
-                total += 1
-    return total
-
-
-def _can_extend(u: Universe, part: set[int], v: int) -> bool:
-    """Does part + {v} stay sum-free, given that part already is?"""
-    sv = u.sum_value(v, v)
-    if sv is not None and (sv == v or sv in part):
-        return False
-    for x in part:
-        sx = u.sum_value(x, v)
-        if sx is not None and (sx == v or sx in part):
-            return False
-        dx = u.diff_value(v, x)
-        if dx is not None and dx in part:
-            return False
-    return True
+    mask = s.mask
+    return sum((u.plus(mask, x) & mask).bit_count() for x in s.members())
 
 
 def is_maximal_sum_free(u: Universe, s: ElemSet) -> bool:
-    """True iff s is sum-free and no ground element can be added to it."""
+    """True iff s is sum-free and no ground element can be added to it.
+
+    A candidate v cannot join s when it is a sum (v = x + y), a difference
+    (v + x = y) or a half (v + v = y) of members.  The first two are
+    masks; the few candidates they leave must each double into s.
+    """
     _check_universe(u, s)
-    if not is_sum_free(u, s):
+    mask = s.mask
+    sums = diffs = 0
+    for x in s.members():
+        sums |= u.plus(mask, x)
+        diffs |= u.minus(mask, x)
+    if sums & mask:
         return False
-    mem = set(s.members())
-    for g in u.ground_values():
-        if g not in mem and _can_extend(u, mem, g):
-            return False
-    return True
+    rest = bin(u.ground_mask & ~(mask | sums | diffs))[:1:-1]  # bit i at position i
+    return all(u.plus(1 << i, u.value_of(i)) & mask for i, c in enumerate(rest) if c == "1")
 
 
 def is_two_wise_sum_free(u: Universe, s: ElemSet) -> bool:
     """True iff s splits into two disjoint sum-free parts (either may be empty).
 
-    Every sum-free set trivially qualifies.  Otherwise decided by
-    backtracking 2-coloring against the Schur-triple constraints inside s,
-    on an explicit stack so that large sets cannot exhaust the recursion
-    limit.
+    Decided by backtracking 2-coloring on an explicit stack, so that large
+    sets cannot exhaust the recursion limit.  Each part carries its sumset
+    mask: v joins part p unless v is in it or v + (p | {v}) meets p | {v}.
+    A sum-free set goes into the first part whole, without backtracking.
     """
-    if is_sum_free(u, s):
-        return True
+    _check_universe(u, s)
     elems = s.members()
-    parts: tuple[set[int], set[int]] = (set(), set())
-    chosen: list[int] = []  # the part of elems[i] for each placed i
+    parts, sums = [0, 0], [0, 0]
+    chosen: list[tuple[int, int]] = []  # (part, its sums before) per placed element
     first_try = 0
     while len(chosen) < len(elems):
         i = len(chosen)
         v = elems[i]
+        bit = 1 << u.slot_of(v)
         # the first element can go into the first part without loss of generality
         for p in range(first_try, 1 if i == 0 else 2):
-            if _can_extend(u, parts[p], v):
-                parts[p].add(v)
-                chosen.append(p)
+            grown = parts[p] | bit
+            new = u.plus(grown, v)
+            if not (sums[p] | new) & grown:
+                chosen.append((p, sums[p]))
+                parts[p] = grown
+                sums[p] |= new
                 first_try = 0
                 break
         else:
             if not chosen:
                 return False
-            p = chosen.pop()
-            parts[p].remove(elems[len(chosen)])
+            p, sums[p] = chosen.pop()
+            parts[p] ^= 1 << u.slot_of(elems[len(chosen)])
             first_try = p + 1
     return True

@@ -1,8 +1,11 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately avoid the package's optimized code paths: subsets come
-from a raw binary counter and every coloring is tried exhaustively.
+from a raw binary counter and every coloring is tried exhaustively, and
+group elements are coordinate tuples, never the package's indices or masks.
 """
+
+from itertools import product
 
 
 def sum_free_table(n: int) -> list[bool]:
@@ -53,3 +56,37 @@ def two_wise_count_oracle(n: int) -> int:
             sub = (sub - 1) & rest
         total += found
     return total
+
+
+def group_count_oracle(moduli: tuple[int, ...]) -> tuple[int, int, dict[int, int]]:
+    """(count, maximal count, {cardinality: count}) of the sum-free subsets
+    of Z_m1 x Z_m2 x ..., from coordinate tuples and Python sets.
+
+    Grows the family one element at a time, in the order of the tuples:
+    x joins a sum-free s iff no x + a lies in s | {x} and no x - a in s
+    (a in s).  A set is maximal iff no set one element larger contains it.
+    """
+    elements = list(product(*(range(m) for m in moduli)))
+    plus = {a: {b: tuple((x + y) % m for x, y, m in zip(a, b, moduli)) for b in elements}
+            for a in elements}
+    minus = {a: {b: tuple((x - y) % m for x, y, m in zip(a, b, moduli)) for b in elements}
+             for a in elements}
+    family = []
+    # (set, position of the next tuple it may take); tuple 0, the identity, never fits
+    level = [(frozenset(), 1)]
+    while level:
+        family.extend(s for s, _ in level)
+        grown = []
+        for s, first in level:
+            for i in range(first, len(elements)):
+                x = elements[i]
+                t = s | {x}
+                px, mx = plus[x], minus[x]
+                if all(px[a] not in t and mx[a] not in s for a in t):
+                    grown.append((t, i + 1))
+        level = grown
+    extended = {s - {x} for s in family for x in s}
+    histogram: dict[int, int] = {}
+    for s in family:
+        histogram[len(s)] = histogram.get(len(s), 0) + 1
+    return len(family), sum(1 for s in family if s not in extended), histogram

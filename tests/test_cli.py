@@ -127,6 +127,22 @@ def test_sweep_intervals_cap_checked_before_any_walk(capsys, monkeypatch):
     assert "capacity" in err and "cap is 40" in err
 
 
+def test_verify_cap_checked_before_reading_the_set(tmp_path, capsys, monkeypatch):
+    import sumfree.universe
+    from sumfree.groups import DEFAULT_MAX_ORDER
+
+    def no_set(*args, **kwargs):
+        raise AssertionError("set built although the cap is exceeded")
+
+    monkeypatch.setattr(sumfree.universe.ElemSet, "from_values", classmethod(no_set))
+    size = DEFAULT_MAX_ORDER + 1
+    # the set file does not exist: reading it first would exit 2
+    code, out, err = run(capsys, "verify", "--interval", str(size),
+                         "--set", str(tmp_path / "missing.json"))
+    assert code == 3 and out == ""
+    assert f"has {size} elements" in err and f"cap is {DEFAULT_MAX_ORDER}" in err
+
+
 def test_sweep_intervals_shard_invariance(capsys):
     code1, body1, _ = run(capsys, "sweep-intervals", "--n-max", "12")
     code8, body8, _ = run(capsys, "sweep-intervals", "--n-max", "12",

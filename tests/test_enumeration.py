@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import sum_free_table, two_wise_count_oracle
+from oracles import group_count_oracle, sum_free_table, two_wise_count_oracle
 from sumfree.enumeration import (
     build_count_record,
     count_by_cardinality,
@@ -98,6 +98,14 @@ def test_sharding_validation():
         count_sum_free_sharded(u, 0, 3)
     with pytest.raises(ValueError):
         count_sum_free_sharded(u, 4, 4)
+
+
+def test_group_counts_match_coordinate_oracle():
+    for order in range(1, 25):
+        for g in abelian_groups_of_order(order):
+            u = GroupUniverse(g)
+            got = (count_sum_free(u), count_maximal(u), count_by_cardinality(u))
+            assert got == group_count_oracle(g.moduli), g.moduli
 
 
 def test_count_cap():

@@ -189,8 +189,10 @@ def test_subgroup_validation():
     z6 = make_group([6])
     with pytest.raises(ValueError):
         Subgroup(z6, frozenset({1, 2}))  # no identity
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negation"):
         Subgroup(z6, frozenset({0, 1}))  # not closed
+    with pytest.raises(ValueError, match="addition"):
+        Subgroup(z6, frozenset({0, 1, 5}))
     Subgroup(z6, frozenset({0, 3}))  # fine
 
 

@@ -1,4 +1,6 @@
-"""Structural invariants of the interval counts on random inputs."""
+"""Structural invariants of the counts and the mask predicates on random inputs."""
+
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,17 @@ from sumfree.enumeration import (
     count_sum_free,
     count_sum_free_sharded,
 )
-from sumfree.universe import IntervalUniverse
+from sumfree.groups import GroupSpec
+from sumfree.universe import (
+    ElemSet,
+    GroupUniverse,
+    IntervalUniverse,
+    count_schur_triples,
+    is_difference_free,
+    is_maximal_sum_free,
+    is_sum_free,
+    is_two_wise_sum_free,
+)
 
 
 @st.composite
@@ -19,6 +31,8 @@ def intervals(draw):
 
 
 shard_counts = st.sampled_from([1, 2, 4, 8, 16, 32, 64])
+groups = st.lists(st.integers(2, 6), min_size=1, max_size=3).map(
+    lambda moduli: GroupSpec(tuple(moduli)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -36,3 +50,88 @@ def test_shard_totals_sum_to_count(u, k):
     f = count_sum_free(u)
     assert sum(count_sum_free_sharded(u, i, k) for i in range(k)) == f
     assert sum(count_by_largest(u, k)) == f
+
+
+def _coords(moduli, index):
+    out = []
+    for m in moduli:
+        index, x = divmod(index, m)
+        out.append(x)
+    return out
+
+
+def _index(moduli, coords):
+    index = 0
+    for m, x in zip(reversed(moduli), reversed(coords)):
+        index = index * m + x
+    return index
+
+
+@settings(max_examples=200, deadline=None)
+@given(groups, st.data())
+def test_translate_is_the_coordinatewise_image(g, data):
+    n = g.order
+    mask = data.draw(st.integers(0, (1 << n) - 1))
+    v = _coords(g.moduli, data.draw(st.integers(0, n - 1)))
+    image = 0
+    for i in range(n):
+        if mask >> i & 1:
+            c = [(x + y) % m for x, y, m in zip(_coords(g.moduli, i), v, g.moduli)]
+            image |= 1 << _index(g.moduli, c)
+    assert g.translate(mask, _index(g.moduli, v)) == image
+
+
+small_universes = st.one_of(
+    st.integers(1, 30).flatmap(lambda hi: st.integers(1, hi).map(
+        lambda lo: IntervalUniverse(lo, hi))),
+    groups.map(GroupUniverse),
+)
+
+
+@st.composite
+def small_sets(draw):
+    u = draw(small_universes)
+    values = list(u.ground_values()) + ([0] if isinstance(u, GroupUniverse) else [])
+    picked = draw(st.lists(st.sampled_from(values), max_size=9, unique=True))
+    return u, ElemSet.from_values(u, picked)
+
+
+def _pairs_summing_inside(u, s):
+    members = s.members()
+    sums = (u.sum_value(x, y) for x, y in product(members, members))
+    return sum(1 for v in sums if v is not None and v in s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_sets())
+def test_mask_predicates_match_pairwise_scans(us):
+    u, s = us
+    sf = is_difference_free(u, s)
+    triples = _pairs_summing_inside(u, s)
+    assert is_sum_free(u, s) == sf == (triples == 0)
+    assert count_schur_triples(u, s) == triples
+    extensible = [g for g in u.ground_values()
+                  if g not in s and is_difference_free(u, s.with_value(g))]
+    assert is_maximal_sum_free(u, s) == (sf and not extensible)
+    members = s.members()
+    splits = (
+        [[x for x, side in zip(members, sides) if side == part] for part in (0, 1)]
+        for sides in product((0, 1), repeat=len(members))
+    )
+    two_wise = any(all(is_difference_free(u, ElemSet.from_values(u, part)) for part in split)
+                   for split in splits)
+    assert is_two_wise_sum_free(u, s) == two_wise
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_universes, st.randoms(use_true_random=False))
+def test_greedily_grown_sets_are_maximal(u, rnd):
+    order = list(u.ground_values())
+    rnd.shuffle(order)
+    s = ElemSet.empty(u)
+    for v in order:
+        if is_difference_free(u, s.with_value(v)):
+            s = s.with_value(v)
+    assert is_maximal_sum_free(u, s)
+    for v in s:  # s less one member extends by that member
+        assert not is_maximal_sum_free(u, ElemSet(u, s.mask ^ 1 << u.slot_of(v)))
