@@ -296,6 +296,11 @@ def cmd_extract(args) -> int:
 
 
 def cmd_random(args) -> int:
+    if args.range > DEFAULT_MAX_ORDER:  # every draw builds a mask this wide
+        raise CapacityError(
+            f"random range [1,{args.range}] has {args.range} elements, "
+            f"cap is {DEFAULT_MAX_ORDER}"
+        )
     cfg = RandomGenConfig(
         seed_element=args.seed_element,
         target_cardinality=args.target,

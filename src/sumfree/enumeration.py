@@ -22,7 +22,13 @@ Interval counts do not visit every set.  Once the smallest candidate c
 satisfies c + min(s | {c}) > hi, no sum of two members can reach a
 remaining candidate, so all 2^k subsets of the k remaining candidates
 ("the free tail") extend s and are counted in one step.  Group counts
-visit one node per set, but build no mask for a leaf.
+(with the maximal count and the histogram) use the symmetry instead:
+one walk per orbit of a group of automorphisms (GroupSpec.orbits),
+rooted at one element of the orbit, visits only the sets holding that
+element, and each set found stands for |orbit| / m sets, m being its
+members in the orbit.  The listings (enumerate_sum_free,
+enumerate_maximal), the shards and enumerate_maximum walk from the empty
+set.  No walk builds a mask for a leaf unless it needs one.
 
 Sharded counting fixes the first log2(shard_count) include/exclude
 decisions from the bits of the shard index (bit j governs ground element
@@ -129,11 +135,12 @@ def _require_ground(u: Universe, cap: int) -> None:
         )
 
 
-def _walk(engine, visit: Optional[Callable[[int, int], None]], s: int, f: int,
-          min_slot: int) -> int:
+def _walk(engine, visit: Optional[Callable[[int, Optional[int]], None]], s: int, f: int,
+          min_slot: int, masks: bool = False) -> int:
     """Count the sets below s, one node per set; visit(s, forbidden) at each.
 
-    Without a visit, the child on the last candidate (a leaf) gets no mask.
+    The child on a node's last candidate is a leaf; unless masks is set,
+    it gets no mask and is visited with forbidden None.
     """
     if visit is not None:
         visit(s, f)
@@ -142,11 +149,13 @@ def _walk(engine, visit: Optional[Callable[[int, int], None]], s: int, f: int,
     while avail:
         b = avail & -avail
         avail ^= b
-        if avail or visit is not None:
+        if avail or masks:
             slot = b.bit_length() - 1
-            total += _walk(engine, visit, s | b, engine.forbid(s, f, slot), slot + 1)
+            total += _walk(engine, visit, s | b, engine.forbid(s, f, slot), slot + 1, masks)
         else:
             total += 1
+            if visit is not None:
+                visit(s | b, None)
     return total
 
 
@@ -255,13 +264,18 @@ def _tally(u: Universe, cap: int,
            found: Optional[list[int]] = None) -> tuple[int, int, dict[int, int]]:
     """(count, maximal count, {cardinality: count}) from one walk.
 
-    found, if given, collects the masks of the maximal sets.
+    found, if given, collects the masks of the maximal sets; a group
+    universe then gets the plain walk, which visits every set.
     """
     _require_ground(u, cap)
-    engine = _engine_for(u)
-    if isinstance(engine, _IntervalEngine):
-        f, f_max, hist = _interval_tally(engine, found)
+    if isinstance(u, IntervalUniverse):
+        f, f_max, hist = _interval_tally(_IntervalEngine(u.lo, u.hi), found)
+    elif found is None:
+        tally = _orbit_tally(u.group, True)
+        hist = [tally[2 * k] + tally[2 * k + 1] for k in range(u.group.order)]
+        f, f_max = sum(hist), sum(tally[1::2])
     else:
+        engine = _GroupEngine(u.group)
         ground = engine.ground_mask
         hist = [0] * (engine.order + 1)
         f_max = 0
@@ -273,11 +287,57 @@ def _tally(u: Universe, cap: int,
             hist[s.bit_count()] += 1
             if not ground & ~(s | forbidden):
                 f_max += 1
-                if found is not None:
-                    found.append(s)
+                found.append(s)
 
-        f = _walk(engine, visit, 0, 0, 0)
+        f = _walk(engine, visit, 0, 0, 0, True)
     return f, f_max, {m: c for m, c in enumerate(hist) if c}
+
+
+def _orbit_tally(group: GroupSpec, maximal: bool) -> list[int]:
+    """The sum-free sets of a group, by cardinality k and maximality x
+    (entry 2k + x; x = 0 throughout unless maximal is set).
+
+    One rooted walk per orbit of the automorphisms.  Let O_1, O_2, ... be
+    the orbits (GroupSpec.orbits, largest first) and A_i the sum-free sets
+    that meet O_i but no earlier orbit.  The walk for O_i starts from {r},
+    r in O_i, with the earlier orbits left out of the ground, and finds
+    the N_i(k, x, m) sets holding r that have m members in O_i.  The
+    automorphisms move r onto every element of O_i and map A_i onto
+    itself, keeping k and x, so counting the pairs (y in s & O_i, s) both
+    ways gives m * #{s in A_i: k, x, m} = |O_i| * N_i(k, x, m).
+    """
+    engine = _GroupEngine(group)
+    ground = engine.ground_mask
+    out = [0] * (2 * group.order)
+    out[int(not ground)] = 1  # the empty set, maximal in the trivial group
+    earlier = 0
+    for orbit in group.orbits:
+        size, r = len(orbit), orbit[0]
+        omask = sum(1 << y for y in orbit)
+        width = size + 1
+        counts = [0] * (len(out) * width)  # [(2k + x) * width + m]
+
+        if maximal:
+            def visit(s: int, forbidden: Optional[int]) -> None:
+                counts[(2 * s.bit_count() + (not ground & ~(s | forbidden))) * width
+                       + (s & omask).bit_count()] += 1
+        else:
+            def visit(s: int, forbidden: Optional[int]) -> None:
+                counts[2 * s.bit_count() * width + (s & omask).bit_count()] += 1
+
+        engine.ground_mask = ground & ~earlier  # the walk offers no other candidates
+        _walk(engine, visit, 1 << r, engine.forbid(0, 0, r) | 1 << r, 0, maximal)
+        for i, n in enumerate(counts):
+            if n:
+                key, m = divmod(i, width)
+                q, rem = divmod(size * n, m)
+                if rem:
+                    raise RuntimeError(
+                        f"{n} sum-free sets of {group.moduli} hold {r} and {m} of its "
+                        f"orbit of {size}: {size} * {n} is not a multiple of {m}")
+                out[key] += q
+        earlier |= omask
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -287,7 +347,7 @@ def _interval_count(lo: int, hi: int) -> int:
 
 @lru_cache(maxsize=None)
 def _group_count(moduli: tuple[int, ...]) -> int:
-    return _walk(_GroupEngine(GroupSpec(moduli)), None, 0, 0, 0)
+    return sum(_orbit_tally(GroupSpec(moduli), False))
 
 
 def enumerate_naive(u: Universe, visit: Optional[Callable[[ElemSet], None]] = None) -> int:

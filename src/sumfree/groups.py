@@ -143,6 +143,76 @@ class GroupSpec:
         """Index mask of X + v, for X given by its index mask."""
         return _rotate(mask, self.translation_steps(v))
 
+    # automorphisms ---------------------------------------------------------
+
+    @cached_property
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """Permutation tables (table[i] is the index of phi(i)) of automorphisms.
+
+        Each is given by the images of the basis elements e_k (index: the
+        radix of k): the unit dilations x -> u*x, u coprime to the
+        exponent; the swaps e_i <-> e_j of equal moduli; the shears
+        e_j -> e_j + (m_i / gcd(m_i, m_j))*e_i.  Every table is checked to
+        be a bijection with phi(a + e_k) = phi(a) + phi(e_k) for all a and
+        k, which makes it an automorphism.  None is the identity.
+        """
+        mods, rads = self.moduli, self._radices
+        exp = self.exponent()
+        images = [[u % m * r for m, r in zip(mods, rads)]
+                  for u in range(2, exp) if math.gcd(u, exp) == 1]
+        for i, (mi, ri) in enumerate(zip(mods, rads)):
+            for j, (mj, rj) in enumerate(zip(mods, rads)):
+                if i < j and mi == mj:
+                    swap = list(rads)
+                    swap[i], swap[j] = rj, ri
+                    images.append(swap)
+                c = mi // math.gcd(mi, mj) % mi
+                if i != j and c:
+                    shear = list(rads)
+                    shear[j] = rj + c * ri
+                    images.append(shear)
+        return tuple(self._automorphism_table(img) for img in images)
+
+    def _automorphism_table(self, images: list[int]) -> tuple[int, ...]:
+        table = [0]
+        for m, img in zip(self.moduli, images):
+            multiples = [0]
+            for _ in range(m - 1):
+                multiples.append(self.add_index(multiples[-1], img))
+            # indices below the radix of this coordinate are already mapped
+            table = [self.add_index(t, x) for x in multiples for t in table]
+        if sorted(table) != list(range(self.order)) or any(
+            table[self.add_index(a, e)] != self.add_index(table[a], table[e])
+            for e in self._radices for a in range(self.order)
+        ):
+            raise RuntimeError(f"basis images {images} give no automorphism of {self.moduli}")
+        return tuple(table)
+
+    @cached_property
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
+        """Orbits of the nonzero elements under the automorphism tables.
+
+        Each orbit is ascending; the largest orbit comes first, and orbits
+        of equal size keep the order of their least elements.
+        """
+        tables = self.automorphisms
+        seen = [False] * self.order
+        seen[0] = True
+        out = []
+        for x in range(1, self.order):
+            if seen[x]:
+                continue
+            seen[x] = True
+            orbit = [x]
+            for y in orbit:  # grows while it is read
+                for t in tables:
+                    if not seen[t[y]]:
+                        seen[t[y]] = True
+                        orbit.append(t[y])
+            out.append(tuple(sorted(orbit)))
+        out.sort(key=len, reverse=True)
+        return tuple(out)
+
     # derived structure ----------------------------------------------------
 
     def element_order(self, a: Element) -> int:

@@ -24,6 +24,11 @@ from typing import Iterable, Iterator, Optional, Union
 
 from .groups import GroupSpec
 
+# Masks at least this wide are built and read through bytes and strings:
+# per-bit big-int steps would cost O(width) each.  Narrower masks keep the
+# per-bit loops, which are faster on small sets.
+_WIDE_MASK_BITS = 2048
+
 
 @dataclass(frozen=True)
 class IntervalUniverse:
@@ -136,10 +141,17 @@ class ElemSet:
 
     @classmethod
     def from_values(cls, universe: Universe, values: Iterable[int]) -> "ElemSet":
-        mask = 0
+        if universe.ground_size < _WIDE_MASK_BITS:
+            mask = 0
+            for v in values:
+                mask |= 1 << universe.slot_of(v)
+            return cls(universe, mask)
+        # each mask |= bit would rewrite the whole int: set bytes instead
+        buf = bytearray(universe.ground_size // 8 + 1)
         for v in values:
-            mask |= 1 << universe.slot_of(v)
-        return cls(universe, mask)
+            i = universe.slot_of(v)
+            buf[i >> 3] |= 1 << (i & 7)
+        return cls(universe, int.from_bytes(buf, "little"))
 
     @classmethod
     def empty(cls, universe: Universe) -> "ElemSet":
@@ -152,11 +164,19 @@ class ElemSet:
     def members(self) -> tuple[int, ...]:
         """Member values in ascending canonical order."""
         out = []
-        m = self.mask
-        while m:
-            b = m & -m
-            m ^= b
-            out.append(self.universe.value_of(b.bit_length() - 1))
+        m, value_of = self.mask, self.universe.value_of
+        if m.bit_length() < _WIDE_MASK_BITS:
+            while m:
+                b = m & -m
+                m ^= b
+                out.append(value_of(b.bit_length() - 1))
+            return tuple(out)
+        # each m ^= b would rewrite the whole int: read the bits off bin()
+        bits = bin(m)[:1:-1]  # bit i at position i
+        i = bits.find("1")
+        while i >= 0:
+            out.append(value_of(i))
+            i = bits.find("1", i + 1)
         return tuple(out)
 
     def __contains__(self, v: int) -> bool:

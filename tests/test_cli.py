@@ -143,6 +143,21 @@ def test_verify_cap_checked_before_reading_the_set(tmp_path, capsys, monkeypatch
     assert f"has {size} elements" in err and f"cap is {DEFAULT_MAX_ORDER}" in err
 
 
+def test_random_cap_checked_before_any_draw(capsys, monkeypatch):
+    import sumfree.cli
+    from sumfree.groups import DEFAULT_MAX_ORDER
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("generator called although the cap is exceeded")
+
+    monkeypatch.setattr(sumfree.cli, "random_sum_free", no_draw)
+    size = DEFAULT_MAX_ORDER + 1
+    code, out, err = run(capsys, "random", "--seed-element", "1", "--target", "40",
+                         "--range", str(size))
+    assert code == 3 and out == ""
+    assert f"has {size} elements" in err and f"cap is {DEFAULT_MAX_ORDER}" in err
+
+
 def test_sweep_intervals_shard_invariance(capsys):
     code1, body1, _ = run(capsys, "sweep-intervals", "--n-max", "12")
     code8, body8, _ = run(capsys, "sweep-intervals", "--n-max", "12",

@@ -278,3 +278,16 @@ def test_sharded_sweep_matches_unsharded():
         count_by_largest(IntervalUniverse(1, 5), 3)
     with pytest.raises(CapacityError):
         count_by_largest(IntervalUniverse(1, 41))
+
+
+def test_orbit_counts_match_plain_shards():
+    # the shards walk every set from the empty root; Z_2^5 and Z_4 x Z_2^3
+    # take seconds that way, and their generators are those of Z_2^4 and
+    # Z_4 x Z_2^2, which the coordinate oracle covers
+    for order in range(25, 33):
+        for g in abelian_groups_of_order(order):
+            if g.moduli in ((2, 2, 2, 2, 2), (4, 2, 2, 2)):
+                continue
+            u = GroupUniverse(g)
+            shards = [count_sum_free_sharded(u, i, 2) for i in range(2)]
+            assert count_sum_free(u) == sum(shards), g.moduli

@@ -226,3 +226,39 @@ def test_group_json_round_trip():
     assert group_from_json(g.to_json_dict()) == g
     with pytest.raises(ValueError):
         group_from_json({"modulus": [2]})
+
+
+def test_automorphism_tables_are_automorphisms():
+    for n in range(1, 25):
+        for g in abelian_groups_of_order(n):
+            for table in g.automorphisms:
+                assert sorted(table) == list(range(n)), g.moduli
+                assert table != tuple(range(n)), g.moduli
+                for a in range(n):
+                    for b in range(n):
+                        assert table[g.add_index(a, b)] == g.add_index(table[a], table[b])
+
+
+def test_orbits_partition_the_nonzero_elements():
+    for n in range(1, 25):
+        for g in abelian_groups_of_order(n):
+            orbits = g.orbits
+            assert sorted(x for orbit in orbits for x in orbit) == list(range(1, n))
+            assert [len(o) for o in orbits] == sorted((len(o) for o in orbits), reverse=True)
+            for orbit in orbits:
+                for t in g.automorphisms:
+                    assert {t[x] for x in orbit} == set(orbit)
+                assert len({g.element_order(g.element_at(x)) for x in orbit}) == 1
+    # the generators reach the full automorphism orbits of these groups
+    assert [len(o) for o in make_group([37]).orbits] == [36]
+    assert [len(o) for o in make_group([2, 2, 2, 2, 2]).orbits] == [31]
+    assert [len(o) for o in make_group([4, 4, 2]).orbits] == [24, 4, 3]
+
+
+def test_automorphism_check_rejects_a_non_automorphism():
+    z4 = make_group([4])
+    with pytest.raises(RuntimeError, match="no automorphism"):
+        z4._automorphism_table([2])  # x -> 2x is not injective
+    z2z4 = make_group([2, 4])
+    with pytest.raises(RuntimeError, match="no automorphism"):
+        z2z4._automorphism_table([2, 2])  # e_1 has order 2, its image e_2 order 4

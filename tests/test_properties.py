@@ -1,8 +1,10 @@
 """Structural invariants of the counts and the mask predicates on random inputs."""
 
+import json
 from itertools import product
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumfree.enumeration import (
@@ -135,3 +137,33 @@ def test_greedily_grown_sets_are_maximal(u, rnd):
     assert is_maximal_sum_free(u, s)
     for v in s:  # s less one member extends by that member
         assert not is_maximal_sum_free(u, ElemSet(u, s.mask ^ 1 << u.slot_of(v)))
+
+
+@st.composite
+def value_lists(draw):
+    """A universe, values drawn from it (some repeated) and one value outside
+    it.  Intervals reach 2^20 elements, so that both the narrow and the
+    wide mask forms of ElemSet run."""
+    if draw(st.booleans()):
+        hi = draw(st.integers(1, 1 << 20))
+        u = IntervalUniverse(draw(st.integers(1, hi)), hi)
+        first, last = u.lo, u.hi
+    else:
+        u = draw(groups.map(GroupUniverse))
+        first, last = 0, u.group.order - 1
+    values = draw(st.lists(st.integers(first, last), max_size=40))
+    outside = draw(st.integers(max_value=first - 1) | st.integers(min_value=last + 1))
+    return u, values, outside
+
+
+@settings(max_examples=200, deadline=None)
+@given(value_lists())
+@example((IntervalUniverse(1, 1 << 20), [1, 3000, 1 << 20, 3000], 0))
+@example((IntervalUniverse(1, 18), [1, 3, 5, 18, 3], 19))
+def test_elemset_round_trips(case):
+    u, values, outside = case
+    s = ElemSet.from_values(u, values)
+    assert list(s.members()) == sorted(set(values))
+    assert ElemSet.from_values(u, json.loads(json.dumps(s.to_json_list()))) == s
+    with pytest.raises(ValueError):
+        ElemSet.from_values(u, values + [outside])
