@@ -24,10 +24,11 @@ from typing import Iterable, Iterator, Optional, Union
 
 from .groups import GroupSpec
 
-# Masks at least this wide are built and read through bytes and strings:
+# Masks at least this wide are built and read through bytes:
 # per-bit big-int steps would cost O(width) each.  Narrower masks keep the
 # per-bit loops, which are faster on small sets.
 _WIDE_MASK_BITS = 2048
+_NONZERO_BYTES = bytes([0] + [1] * 255)  # translation table: nonzero bytes to 1
 
 
 @dataclass(frozen=True)
@@ -171,12 +172,17 @@ class ElemSet:
                 m ^= b
                 out.append(value_of(b.bit_length() - 1))
             return tuple(out)
-        # each m ^= b would rewrite the whole int: read the bits off bin()
-        bits = bin(m)[:1:-1]  # bit i at position i
-        i = bits.find("1")
+        # each m ^= b would rewrite the whole int: find the nonzero bytes
+        data = m.to_bytes((m.bit_length() + 7) // 8, "little")
+        marks = data.translate(_NONZERO_BYTES)
+        i = marks.find(1)
         while i >= 0:
-            out.append(value_of(i))
-            i = bits.find("1", i + 1)
+            byte = data[i]
+            while byte:
+                low = byte & -byte
+                byte ^= low
+                out.append(value_of(8 * i + low.bit_length() - 1))
+            i = marks.find(1, i + 1)
         return tuple(out)
 
     def __contains__(self, v: int) -> bool:
