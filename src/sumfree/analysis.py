@@ -7,7 +7,6 @@ go through floating point.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
 from .arith import divisors, is_prime, prime_factors
@@ -15,8 +14,10 @@ from .construct import middle_third, outer_bands
 from .errors import CapacityError
 from .enumeration import (
     DEFAULT_GROUND_CAP,
+    MAXIMUM_CAP,
     count_sum_free,
     enumerate_maximum,
+    maximal_sets_of_size,
 )
 from .groups import Element, GroupSpec, abelian_groups_of_order, index2_subgroups
 from .universe import (
@@ -62,7 +63,7 @@ class DensityReport:
     agree: bool
 
 
-def density_report(g: GroupSpec, cap: int = DEFAULT_GROUND_CAP) -> DensityReport:
+def density_report(g: GroupSpec, cap: int = MAXIMUM_CAP) -> DensityReport:
     """Measure the maximum sum-free density by exhaustive search."""
     maxima = enumerate_maximum(GroupUniverse(g), cap)
     witness = maxima[0]
@@ -71,7 +72,7 @@ def density_report(g: GroupSpec, cap: int = DEFAULT_GROUND_CAP) -> DensityReport
     return DensityReport(g, mu, witness, v, case, mu == v)
 
 
-def verify_index2_structure(g: GroupSpec, cap: int = DEFAULT_GROUND_CAP) -> Optional[bool]:
+def verify_index2_structure(g: GroupSpec, cap: int = MAXIMUM_CAP) -> Optional[bool]:
     """Check that the half-order sum-free sets are exactly the nontrivial
     cosets of the index-2 subgroups.
 
@@ -98,7 +99,7 @@ def verify_index2_structure(g: GroupSpec, cap: int = DEFAULT_GROUND_CAP) -> Opti
     return half_sets == cosets
 
 
-def coset_floor_check(g: GroupSpec, cap: int = DEFAULT_GROUND_CAP) -> bool:
+def coset_floor_check(g: GroupSpec, cap: int = MAXIMUM_CAP) -> bool:
     """Maximum sum-free cardinality reaches order/q, q the least prime divisor."""
     q = sorted(prime_factors(g.order))[0]
     maxima = enumerate_maximum(GroupUniverse(g), cap)
@@ -200,6 +201,17 @@ def decomposition_ratio(n: int, cap: int = 33) -> Fraction:
     return Fraction(f, f_tail + f_odd)
 
 
+def _maximal_of_size(g: GroupSpec, size: int) -> list[ElemSet]:
+    """The group's maximal sum-free sets of the given cardinality, from the
+    depth-limited walk, each confirmed by the predicate."""
+    u = GroupUniverse(g)
+    found = maximal_sets_of_size(u, size)
+    for s in found:
+        if not is_maximal_sum_free(u, s):
+            raise AssertionError(f"walk and predicate disagree on {s.members()} in {g.moduli}")
+    return found
+
+
 def singleton_maximal_groups(
     max_order: int,
 ) -> list[tuple[GroupSpec, tuple[Element, ...]]]:
@@ -208,12 +220,7 @@ def singleton_maximal_groups(
     out = []
     for order in range(2, max_order + 1):
         for g in abelian_groups_of_order(order):
-            u = GroupUniverse(g)
-            witnesses = tuple(
-                g.element_at(i)
-                for i in range(1, order)
-                if is_maximal_sum_free(u, ElemSet.from_values(u, [i]))
-            )
+            witnesses = tuple(g.element_at(s.members()[0]) for s in _maximal_of_size(g, 1))
             if witnesses:
                 for w in witnesses:
                     if not is_prime(g.element_order(w)):
@@ -227,15 +234,8 @@ def singleton_maximal_groups(
 def pair_maximal_groups(max_order: int) -> list[tuple[GroupSpec, ElemSet]]:
     """All (abelian group, set) pairs with a maximal sum-free set of
     cardinality 2, for orders 2..max_order."""
-    out = []
-    for order in range(2, max_order + 1):
-        for g in abelian_groups_of_order(order):
-            u = GroupUniverse(g)
-            for pair in combinations(range(1, order), 2):
-                s = ElemSet.from_values(u, pair)
-                if is_maximal_sum_free(u, s):
-                    out.append((g, s))
-    return out
+    return [(g, s) for order in range(2, max_order + 1)
+            for g in abelian_groups_of_order(order) for s in _maximal_of_size(g, 2)]
 
 
 def even_order_leading_term(

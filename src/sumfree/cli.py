@@ -34,7 +34,13 @@ from .analysis import (
     singleton_maximal_groups,
     verify_index2_structure,
 )
-from .enumeration import build_count_record, count_by_largest, count_sum_free
+from .enumeration import (
+    DEFAULT_GROUND_CAP,
+    MAXIMUM_CAP,
+    build_count_record,
+    count_by_largest,
+    count_sum_free,
+)
 from .errors import CapacityError, GenerationTimeout
 from .generate import RandomGenConfig, extract_sum_free, random_sum_free
 from .groups import (
@@ -258,20 +264,26 @@ def _giudici2_rows(max_order: int) -> Callable[[GroupSpec], dict]:
     return lambda g: {"pairs": ";".join(pairs.get(g.moduli, []))}
 
 
-# check -> (its columns, a function of max_order giving the row builder)
-GROUP_CHECKS: dict[str, tuple[list[str], Callable[[int], Callable[[GroupSpec], dict]]]] = {
-    "mu": (["mu", "mu_float", "v", "v_case", "agree"], lambda _: _mu_row),
-    "index2": (["subgroups", "expected", "coset_equality"], lambda _: _index2_row),
-    "lev": (["leading", "f", "ratio", "ratio_float"], lambda _: _lev_row),
-    "giudici1": (["witnesses"], _giudici1_rows),
-    "giudici2": (["pairs"], _giudici2_rows),
+# check -> (its columns, the largest ground size it takes, a function of
+# max_order giving the row builder); the scans walk to depth 1 or 2, so
+# only the order cap of make_group bounds them
+GROUP_CHECKS: dict[str, tuple[list[str], int, Callable[[int], Callable[[GroupSpec], dict]]]] = {
+    "mu": (["mu", "mu_float", "v", "v_case", "agree"], MAXIMUM_CAP, lambda _: _mu_row),
+    "index2": (["subgroups", "expected", "coset_equality"], MAXIMUM_CAP, lambda _: _index2_row),
+    "lev": (["leading", "f", "ratio", "ratio_float"], DEFAULT_GROUND_CAP, lambda _: _lev_row),
+    "giudici1": (["witnesses"], DEFAULT_MAX_ORDER - 1, _giudici1_rows),
+    "giudici2": (["pairs"], DEFAULT_MAX_ORDER - 1, _giudici2_rows),
 }
 
 
 def group_sweep_rows(max_order: int, check: str) -> tuple[list[str], list[dict]]:
     if check not in GROUP_CHECKS:
         raise ValueError(f"unknown check {check!r}")
-    fields, builder = GROUP_CHECKS[check]
+    fields, cap, builder = GROUP_CHECKS[check]
+    if max_order - 1 > cap:  # before the first row, not when the sweep gets there
+        raise CapacityError(
+            f"check {check} to order {max_order} needs ground size {max_order - 1}, "
+            f"cap is {cap}")
     row = builder(max_order)
     rows = [
         {"moduli": _moduli_label(g.moduli), "order": n, **row(g)}

@@ -53,6 +53,7 @@ from .errors import CapacityError
 
 NAIVE_CAP = 25
 DEFAULT_GROUND_CAP = 40
+MAXIMUM_CAP = 63  # the maximum search reaches every group of order 64
 TWO_WISE_CAP = 18
 
 
@@ -82,6 +83,10 @@ class _IntervalEngine:
         low = (s_mask & -s_mask).bit_length() - 1 + self.lo if s_mask else None
         last = self.hi // 2 if low is None else self.hi - low
         return (1 << max(last - self.lo + 1, 0)) - 1
+
+    def excluded(self, c: int, slot: int) -> int:
+        # the pairs a, a + v in c form paths: ceil(E/2) for E pairs
+        return ((c & (c << (slot + self.lo))).bit_count() + 1) // 2
 
 
 class _GroupEngine:
@@ -118,6 +123,13 @@ class _GroupEngine:
         nf = f_mask | own
         nf |= _rotate(s2 | (nf >> self.order), plus)
         return nf if minus is None else nf | _rotate(s2, minus)
+
+    def excluded(self, c: int, slot: int) -> int:
+        # the pairs a, a + v in c form paths and cycles, ceil(E/2) for E
+        # pairs; when v = -v each pair is counted from both ends
+        _, plus, minus = self.plans[slot]
+        e = (c & _rotate(c, plus)).bit_count()
+        return e // 2 if minus is None else (e + 1) // 2
 
 
 def _engine_for(u: Universe):
@@ -453,13 +465,17 @@ def count_by_largest(u: IntervalUniverse, shard_count: int = 1,
     return by_top
 
 
-def enumerate_maximum(u: Universe, cap: int = DEFAULT_GROUND_CAP) -> list[ElemSet]:
+def enumerate_maximum(u: Universe, cap: int = MAXIMUM_CAP) -> list[ElemSet]:
     """All sum-free sets of maximum cardinality, ascending lexicographic.
 
     Branch and bound: the first descent builds the greedy set (for
-    intervals, the odds), which seeds the best cardinality; then the walk
-    skips any child whose set plus the candidates above it cannot reach
-    the best, before computing its forbidden mask.
+    intervals, the odds), which seeds the best cardinality.  A sum-free A
+    holding s inside C = s | candidates never holds both a and a + x
+    (x in s), so a node is dropped when |C| - excluded(C, x) < best for
+    some x; that bound is never below |C| // 2, so it is only computed
+    when |C| // 2 < best.  A child whose set plus the candidates above it
+    cannot reach the best is skipped before its forbidden mask is
+    computed.  Ties stay: the list holds every maximum set.
     """
     _require_ground(u, cap)
     engine = _engine_for(u)
@@ -474,6 +490,14 @@ def enumerate_maximum(u: Universe, cap: int = DEFAULT_GROUND_CAP) -> list[ElemSe
         elif card == best:
             found.append(s)
         avail = engine.ground_mask & ~f & (-1 << min_slot)
+        size = card + avail.bit_count()
+        if avail and size // 2 < best:
+            c, rest = s | avail, s
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                if size - engine.excluded(c, b.bit_length() - 1) < best:
+                    return
         while avail:
             b = avail & -avail
             avail ^= b
@@ -493,6 +517,33 @@ def enumerate_maximal(u: Universe, cap: int = DEFAULT_GROUND_CAP) -> list[ElemSe
     """All maximal sum-free sets: those rejecting every one-element extension."""
     found: list[int] = []
     _tally(u, cap, found)
+    return [ElemSet(u, mask) for mask in found]
+
+
+def maximal_sets_of_size(u: GroupUniverse, size: int) -> list[ElemSet]:
+    """The maximal sum-free sets of one cardinality, ascending lexicographic.
+
+    The group walk cut at depth size: its forbidden mask holds exactly
+    the elements that cannot join s, so s is maximal when
+    ground & ~(s | forbidden) == 0.  About order^size / size! nodes.
+    """
+    engine = _GroupEngine(u.group)
+    ground = engine.ground_mask
+    found: list[int] = []
+
+    def rec(s: int, f: int, min_slot: int, depth: int) -> None:
+        if not depth:
+            if not ground & ~(s | f):
+                found.append(s)
+            return
+        avail = ground & ~f & (-1 << min_slot)
+        while avail:
+            b = avail & -avail
+            avail ^= b
+            slot = b.bit_length() - 1
+            rec(s | b, engine.forbid(s, f, slot), slot + 1, depth - 1)
+
+    rec(0, 0, 0, size)
     return [ElemSet(u, mask) for mask in found]
 
 

@@ -19,7 +19,7 @@ from .arith import is_prime
 from .construct import middle_block
 from .errors import GenerationTimeout
 from .groups import make_group
-from .universe import ElemSet, GroupUniverse, IntervalUniverse, is_sum_free
+from .universe import ElemSet, GroupUniverse, IntervalUniverse
 
 import random
 
@@ -59,23 +59,33 @@ def random_sum_free(cfg: RandomGenConfig) -> ElemSet:
     coin came up 1.  Deterministic for a fixed rng_seed.  Raises
     GenerationTimeout when the budget runs out first; the exception
     carries the partial set.
+
+    The set is sum-free before the insertion, so only sums involving the
+    candidate c can break it: c + x or 2c in s, or c in s + s.  The
+    member mask (bit x - 1) answers the first two, and the reversed mask
+    (bit hi - x) the third: shifted right by hi + 1 - c it puts bit
+    c - x - 1 under each member x.
     """
-    u = IntervalUniverse(1, cfg.sample_hi)
-    s = ElemSet.from_values(u, [cfg.seed_element])
+    hi = cfg.sample_hi
+    v = cfg.seed_element
+    mask, rev, size = 1 << (v - 1), 1 << (hi - v), 1
     rng = random.Random(cfg.rng_seed)
     for _ in range(cfg.max_iterations):
-        if s.cardinality >= cfg.target_cardinality:
-            return s
-        candidate = rng.randint(1, cfg.sample_hi)
+        if size >= cfg.target_cardinality:
+            break
+        c = rng.randint(1, hi)
         coin = rng.randint(1, 2)
-        augmented = s.with_value(candidate)
-        if coin == 1 and is_sum_free(u, augmented):
-            s = augmented
-    if s.cardinality >= cfg.target_cardinality:
+        if coin == 1 and not (mask & (mask << c | 1 << (2 * c - 1) | rev >> (hi + 1 - c))):
+            if not mask >> (c - 1) & 1:
+                mask |= 1 << (c - 1)
+                rev |= 1 << (hi - c)
+                size += 1
+    s = ElemSet(IntervalUniverse(1, hi), mask)
+    if size >= cfg.target_cardinality:
         return s
     raise GenerationTimeout(
         f"no sum-free set of cardinality {cfg.target_cardinality} found in "
-        f"{cfg.max_iterations} passes (reached {s.cardinality})",
+        f"{cfg.max_iterations} passes (reached {size})",
         partial=s,
     )
 

@@ -150,16 +150,25 @@ class GroupSpec:
         """Permutation tables (table[i] is the index of phi(i)) of automorphisms.
 
         Each is given by the images of the basis elements e_k (index: the
-        radix of k): the unit dilations x -> u*x, u coprime to the
-        exponent; the swaps e_i <-> e_j of equal moduli; the shears
-        e_j -> e_j + (m_i / gcd(m_i, m_j))*e_i.  Every table is checked to
-        be a bijection with phi(a + e_k) = phi(a) + phi(e_k) for all a and
-        k, which makes it an automorphism.  None is the identity.
+        radix of k): the unit dilations x -> u*x, for u in a generating
+        set of the units modulo the exponent (each u the least unit the
+        earlier ones do not generate); the swaps e_i <-> e_j of equal
+        moduli; the shears e_j -> e_j + (m_i / gcd(m_i, m_j))*e_i.  Every
+        table is checked to be a bijection with
+        phi(a + e_k) = phi(a) + phi(e_k) for all a and k, which makes it
+        an automorphism.  None is the identity.
         """
         mods, rads = self.moduli, self._radices
         exp = self.exponent()
-        images = [[u % m * r for m, r in zip(mods, rads)]
-                  for u in range(2, exp) if math.gcd(u, exp) == 1]
+        units, reached = [], {1}  # reached: the subgroup the units generate
+        for u in range(2, exp):
+            if math.gcd(u, exp) == 1 and u not in reached:
+                units.append(u)
+                powers = [1]
+                while powers[-1] * u % exp != 1:
+                    powers.append(powers[-1] * u % exp)
+                reached = {x * y % exp for x in reached for y in powers}
+        images = [[u % m * r for m, r in zip(mods, rads)] for u in units]
         for i, (mi, ri) in enumerate(zip(mods, rads)):
             for j, (mj, rj) in enumerate(zip(mods, rads)):
                 if i < j and mi == mj:

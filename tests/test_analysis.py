@@ -17,7 +17,7 @@ from sumfree.analysis import (
 from sumfree.construct import odds
 from sumfree.enumeration import enumerate_sum_free
 from sumfree.groups import abelian_groups_of_order, make_group
-from sumfree.universe import ElemSet, IntervalUniverse
+from sumfree.universe import ElemSet, GroupUniverse, IntervalUniverse, is_maximal_sum_free
 
 
 def test_density_formula_examples():
@@ -155,6 +155,21 @@ def test_pair_scan():
     for g, s in pairs:
         assert s.cardinality == 2
         assert is_maximal_sum_free(GroupUniverse(g), s)
+
+
+def test_scans_match_the_predicate_on_every_singleton_and_pair():
+    singles, pairs = [], []
+    for order in range(2, 25):
+        for g in abelian_groups_of_order(order):
+            u = GroupUniverse(g)
+            wits = tuple(g.element_at(x) for x in range(1, order)
+                         if is_maximal_sum_free(u, ElemSet.from_values(u, [x])))
+            if wits:
+                singles.append((g, wits))
+            pairs += [(g, (x, y)) for x in range(1, order) for y in range(x + 1, order)
+                      if is_maximal_sum_free(u, ElemSet.from_values(u, [x, y]))]
+    assert singleton_maximal_groups(24) == singles
+    assert [(g, s.members()) for g, s in pair_maximal_groups(24)] == pairs
 
 
 def test_leading_term_examples():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sumfree.cli import main
 
 
@@ -191,6 +193,27 @@ def test_sweep_groups_index2_na(capsys):
             assert equality == "n/a" and subs == "0"
         else:
             assert equality == "True" and subs == expected
+
+
+def test_sweep_groups_cap_checked_before_the_first_row(capsys, monkeypatch):
+    import sumfree.enumeration
+    from sumfree.groups import DEFAULT_MAX_ORDER
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walker called although the cap is exceeded")
+
+    for name in ("_engine_for", "_GroupEngine", "_walk"):
+        monkeypatch.setattr(sumfree.enumeration, name, no_walk)
+    for check, max_order, cap in (("mu", 65, 63), ("index2", 65, 63), ("lev", 42, 40),
+                                  ("giudici2", DEFAULT_MAX_ORDER + 1, DEFAULT_MAX_ORDER - 1)):
+        code, out, err = run(capsys, "sweep-groups", "--max-order", str(max_order),
+                             "--check", check)
+        assert code == 3 and out == "", check
+        assert f"check {check} to order {max_order} needs ground size {max_order - 1}" in err
+        assert f"cap is {cap}" in err
+    # within the cap the sweep goes on to its first row
+    with pytest.raises(AssertionError, match="walker called"):
+        main(["sweep-groups", "--max-order", "64", "--check", "mu"])
 
 
 def test_sweep_groups_mu(capsys):

@@ -1,7 +1,11 @@
 import pytest
 
+import random
+
 from oracles import group_count_oracle, sum_free_table, two_wise_count_oracle
 from sumfree.enumeration import (
+    _GroupEngine,
+    _IntervalEngine,
     build_count_record,
     count_by_cardinality,
     count_by_largest,
@@ -15,8 +19,9 @@ from sumfree.enumeration import (
     enumerate_sum_free,
 )
 from sumfree.errors import CapacityError
-from sumfree.groups import abelian_groups_of_order, make_group
+from sumfree.groups import abelian_groups_of_order, index2_subgroups, make_group
 from sumfree.universe import (
+    ElemSet,
     GroupUniverse,
     IntervalUniverse,
     is_maximal_sum_free,
@@ -105,7 +110,13 @@ def test_group_counts_match_coordinate_oracle():
         for g in abelian_groups_of_order(order):
             u = GroupUniverse(g)
             got = (count_sum_free(u), count_maximal(u), count_by_cardinality(u))
-            assert got == group_count_oracle(g.moduli), g.moduli
+            expected = group_count_oracle(g.moduli)
+            assert got == expected, g.moduli
+            # the branch and bound finds the top bucket of the histogram
+            top = max(expected[2])
+            maximum = enumerate_maximum(u)
+            assert len(maximum) == expected[2][top], g.moduli
+            assert {s.cardinality for s in maximum} == {top}, g.moduli
 
 
 def test_count_cap():
@@ -139,6 +150,63 @@ def test_enumerate_maximum_matches_filtered_enumeration():
             best = max(s.cardinality for s in family)
             expected = {s.members() for s in family if s.cardinality == best}
             assert {s.members() for s in enumerate_maximum(u)} == expected
+
+
+def test_enumerate_maximum_order_64_is_the_index2_cosets():
+    # the maximum is |G|/2 and the maximum sets are the nontrivial cosets
+    # of the index-2 subgroups; without the matching bound Z_2^6 takes
+    # over a minute
+    for g in abelian_groups_of_order(64):
+        got = [frozenset(s.members()) for s in enumerate_maximum(GroupUniverse(g))]
+        cosets = {frozenset(range(64)) - h.members for h in index2_subgroups(g)}
+        assert len(got) == len(cosets) and set(got) == cosets, g.moduli
+    with pytest.raises(CapacityError):
+        enumerate_maximum(GroupUniverse(make_group([5, 13])))
+
+
+def _translation_pairs(u, c, x):
+    """#{a in c: a + x in c}, from values (the group law by add_index)."""
+    members = ElemSet(u, c).members()
+    if isinstance(u, GroupUniverse):
+        return sum(u.group.add_index(a, x) in members for a in members)
+    return sum(a + x in members for a in members)
+
+
+def _engines(max_order):
+    for order in range(2, max_order + 1):
+        for g in abelian_groups_of_order(order):
+            yield GroupUniverse(g), _GroupEngine(g)
+    for lo, hi in ((1, 12), (3, 14)):
+        yield IntervalUniverse(lo, hi), _IntervalEngine(lo, hi)
+
+
+def test_matching_bound_counts_translation_pairs():
+    # E pairs a, a + x in C leave ceil(E/2) elements of C out, or E/2
+    # when 2x = 0 and each pair is counted from both ends
+    rng = random.Random(7)
+    for u, engine in _engines(16):
+        for slot in range(engine.first_slot, engine.first_slot + engine.ground_count):
+            x = u.value_of(slot)
+            involution = isinstance(u, GroupUniverse) and u.group.add_index(x, x) == 0
+            for _ in range(6):
+                c = rng.getrandbits(engine.ground_count) << engine.first_slot | 1 << slot
+                e = _translation_pairs(u, c, x)
+                assert engine.excluded(c, slot) == (e // 2 if involution else (e + 1) // 2)
+
+
+def test_matching_bound_never_cuts_a_sum_free_set():
+    # every sum-free A with s <= A <= C has |A| <= |C| - excluded(C, x), x in s
+    rng = random.Random(11)
+    for u, engine in _engines(10):
+        family = []
+        enumerate_sum_free(u, family.append)
+        for s in rng.sample(family, min(len(family), 12)):
+            for _ in range(4):
+                c = s.mask | rng.getrandbits(engine.ground_count) << engine.first_slot
+                best = max(a.cardinality for a in family if a.mask & ~c == 0
+                           and a.mask & s.mask == s.mask)
+                for x in s.members():
+                    assert c.bit_count() - engine.excluded(c, u.slot_of(x)) >= best
 
 
 def test_enumerate_maximal_examples():

@@ -11,7 +11,7 @@ from sumfree.generate import (
     random_sum_free,
     residue_weights,
 )
-from sumfree.universe import is_sum_free
+from sumfree.universe import ElemSet, IntervalUniverse, is_sum_free
 
 
 def test_config_validation():
@@ -40,6 +40,36 @@ def test_random_sum_free_deterministic_and_valid():
         assert s1.cardinality == 7
         assert 3 in s1
         assert is_sum_free(s1.universe, s1)
+
+
+def _random_reference(cfg):
+    """The generator with the whole augmented set tested after each coin."""
+    u = IntervalUniverse(1, cfg.sample_hi)
+    s = ElemSet.from_values(u, [cfg.seed_element])
+    rng = random.Random(cfg.rng_seed)
+    for _ in range(cfg.max_iterations):
+        if s.cardinality >= cfg.target_cardinality:
+            break
+        candidate = rng.randint(1, cfg.sample_hi)
+        augmented = s.with_value(candidate)
+        if rng.randint(1, 2) == 1 and is_sum_free(u, augmented):
+            s = augmented
+    return s
+
+
+def test_random_sum_free_matches_whole_set_reference():
+    for seed in range(12):
+        for element, target, hi, budget in ((1, 6, 12, 400), (3, 7, 60, 100_000),
+                                             (5, 20, 500, 100_000), (2, 40, 3000, 100_000)):
+            cfg = RandomGenConfig(seed_element=element, target_cardinality=target,
+                                  sample_hi=hi, max_iterations=budget, rng_seed=seed)
+            expected = _random_reference(cfg).members()
+            try:
+                got = random_sum_free(cfg).members()
+            except GenerationTimeout as exc:
+                got = exc.partial.members()
+                assert len(got) < target
+            assert got == expected, (seed, element, target, hi)
 
 
 def test_random_sum_free_timeout():
