@@ -27,8 +27,10 @@ one walk per orbit of a group of automorphisms (GroupSpec.orbits),
 rooted at one element of the orbit, visits only the sets holding that
 element, and each set found stands for |orbit| / m sets, m being its
 members in the orbit.  The listings (enumerate_sum_free,
-enumerate_maximal), the shards and enumerate_maximum walk from the empty
-set.  No walk builds a mask for a leaf unless it needs one.
+enumerate_maximal), the shards, enumerate_maximum (pruned by a
+translation-matching bound) and maximal_sets_of_size (cut at a depth)
+walk from the empty set.  No walk builds a mask for a leaf unless it
+needs one.
 
 Sharded counting fixes the first log2(shard_count) include/exclude
 decisions from the bits of the shard index (bit j governs ground element

@@ -1,6 +1,6 @@
-import pytest
-
 import random
+
+import pytest
 
 from oracles import group_count_oracle, sum_free_table, two_wise_count_oracle
 from sumfree.enumeration import (
