@@ -67,7 +67,7 @@ class ExperimentConfig:
 
     n_max: int = 33
     shard_count: int = 1
-    cap: int = 40
+    cap: int = DEFAULT_GROUND_CAP
     output_path: Optional[str] = None
     format: str = "csv"
 

@@ -18,19 +18,23 @@ sumset, the difference set and the half-set together, which also makes
 the maximality test a single mask comparison.  Adding an element costs
 two translations of index masks (GroupSpec.translation_steps).
 
-Interval counts do not visit every set.  Once the smallest candidate c
-satisfies c + min(s | {c}) > hi, no sum of two members can reach a
-remaining candidate, so all 2^k subsets of the k remaining candidates
-("the free tail") extend s and are counted in one step.  Group counts
-(with the maximal count and the histogram) use the symmetry instead:
-one walk per orbit of a group of automorphisms (GroupSpec.orbits),
-rooted at one element of the orbit, visits only the sets holding that
-element, and each set found stands for |orbit| / m sets, m being its
-members in the orbit.  The listings (enumerate_sum_free,
-enumerate_maximal), the shards, enumerate_maximum (pruned by a
-translation-matching bound) and maximal_sets_of_size (cut at a depth)
-walk from the empty set.  No walk builds a mask for a leaf unless it
-needs one.
+Interval counts do not visit every set.  Sets that hold the same members
+x with x + v <= hi and forbid the same slots from v on have the same
+extensions above slot v, so the count is a forward transfer: each layer
+maps that state to its number of sets, and a state with no such member
+once 2v > hi counts the subsets of its free candidates at once.  It runs
+from each of at least 8 shard roots, keeping the layers small.  The
+maximal count and the histogram need all of s: their walk counts a free
+tail (the candidates c with c + min(s | {c}) > hi) in one step.  Group
+counts (with the maximal count and the histogram) use the symmetry
+instead: one walk per orbit of a group of automorphisms
+(GroupSpec.orbits), rooted at one element of the orbit, visits only the
+sets holding that element, and each set found stands for |orbit| / m
+sets, m being its members in the orbit.  The listings
+(enumerate_sum_free, enumerate_maximal), the group shards,
+enumerate_maximum (pruned by a translation-matching bound) and
+maximal_sets_of_size (cut at a depth) walk from the empty set.  No walk
+builds a mask for a leaf unless it needs one.
 
 Sharded counting fixes the first log2(shard_count) include/exclude
 decisions from the bits of the shard index (bit j governs ground element
@@ -78,13 +82,6 @@ class _IntervalEngine:
         # shifting a slot mask by the value v is exactly that
         v = slot + self.lo
         return f_mask | (((s_mask | (1 << slot)) << v) & self.window)
-
-    def head_mask(self, s_mask: int) -> int:
-        # slots c with c + min(s | {c}) <= hi; every candidate above them
-        # belongs to the free tail
-        low = (s_mask & -s_mask).bit_length() - 1 + self.lo if s_mask else None
-        last = self.hi // 2 if low is None else self.hi - low
-        return (1 << max(last - self.lo + 1, 0)) - 1
 
     def excluded(self, c: int, slot: int) -> int:
         # the pairs a, a + v in c form paths: ceil(E/2) for E pairs
@@ -173,43 +170,51 @@ def _walk(engine, visit: Optional[Callable[[int, Optional[int]], None]], s: int,
     return total
 
 
-def _interval_walk(engine: _IntervalEngine, s: int, f: int, min_slot: int,
-                   by_top: Optional[list[int]] = None) -> int:
-    """Count the sum-free sets of an interval that extend s above min_slot.
+def _interval_walk(engine: _IntervalEngine, shard_index: int, shard_count: int) -> list[int]:
+    """One shard's sum-free sets of an interval, entry i: largest slot i - 1.
 
-    Free tails are counted in bulk.  If by_top is given, every set counted
-    is also added to by_top[i], where i - 1 is the set's largest slot
-    (i = 0 for the empty set): of the tail sets, 2^j have the j-th
-    smallest tail candidate on top.
+    The shard joins the sub-shards j = shard_index (mod shard_count) of
+    max(shard_count, 8), each carried forward from its root.  Before slot
+    t, of value v, a key holds the members x with x + v <= hi below bit t
+    and the forbidden slots from bit t; a layer maps keys to set counts.
     """
-    lo, hi, window = engine.lo, engine.hi, engine.window
-
-    def rec(s: int, f: int, min_slot: int, head_mask: int, top: int) -> int:
-        avail = window & ~f & (-1 << min_slot)
-        head = avail & head_mask
-        tail = avail ^ head
-        if by_top is None:
-            total = 1 << tail.bit_count()
-        else:
-            by_top[top] += 1
-            total = 1
-            while tail:
-                b = tail & -tail
-                tail ^= b
-                by_top[b.bit_length()] += total
-                total <<= 1
-        while head:
-            b = head & -head
-            head ^= b
-            slot = b.bit_length() - 1
-            v = slot + lo
-            s2 = s | b
-            total += rec(s2, f | ((s2 << v) & window), slot + 1,
-                         head_mask if s else (1 << (hi - v - lo + 1)) - 1, slot + 1)
-        return total
-
-    top = s.bit_length()
-    return rec(s, f, min_slot, engine.head_mask(s), top)
+    lo, hi, window, size = engine.lo, engine.hi, engine.window, engine.ground_count
+    by_top = [0] * (size + 1)
+    tails: dict[int, int] = {}  # keys no member can sum in: free slots -> sets
+    roots = max(shard_count, 8)
+    for j in range(shard_index, roots, shard_count):
+        root = _shard_root(engine, j, roots)
+        if root is None:
+            continue
+        s, f, first = root
+        by_top[s.bit_length()] += 1
+        layer = {s | f & -(1 << first): 1}
+        for t in range(first, size):
+            v, bit, new, joined = t + lo, 1 << t, {}, 0
+            # the next key: members x with x + v < hi, forbidden slots above t
+            mask = (1 << max(0, min(t + 1, hi - 2 * lo - t))) - 1 | window & -(bit << 1)
+            low, tail, out = bit - 1, 2 * v > hi, mask & ~bit
+            while layer:
+                key, n = layer.popitem()
+                if tail and not key & low:
+                    free = window & ~key & -bit
+                    tails[free] = tails.get(free, 0) + n
+                    continue
+                k = key & out
+                new[k] = new.get(k, 0) + n
+                if not key & bit:
+                    k = (key | bit | ((key & low | bit) << v) & window) & mask
+                    new[k] = new.get(k, 0) + n
+                    joined += n
+            by_top[t + 1] += joined
+            layer = new
+    for free, n in tails.items():
+        while free:  # 2^i of the subsets have the i-th smallest candidate on top
+            b = free & -free
+            free ^= b
+            by_top[b.bit_length()] += n
+            n <<= 1
+    return by_top
 
 
 def _interval_tally(engine: _IntervalEngine,
@@ -264,7 +269,8 @@ def _interval_tally(engine: _IntervalEngine,
                          head_mask if s else (1 << (hi - v - lo + 1)) - 1, card + 1)
         return total
 
-    f = rec(0, 0, 0, 0, engine.head_mask(0), 0)
+    # head: slots c with c + min(s | {c}) <= hi, the rest is the free tail
+    f = rec(0, 0, 0, 0, (1 << max(hi // 2 - lo + 1, 0)) - 1, 0)
     hist = [0] * width
     for i, n in enumerate(pairs):
         if n:
@@ -356,7 +362,7 @@ def _orbit_tally(group: GroupSpec, maximal: bool) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _interval_count(lo: int, hi: int) -> int:
-    return _interval_walk(_IntervalEngine(lo, hi), 0, 0, 0)
+    return sum(_interval_walk(_IntervalEngine(lo, hi), 0, 1))
 
 
 @lru_cache(maxsize=None)
@@ -439,32 +445,26 @@ def count_sum_free_sharded(u: Universe, shard_index: int, shard_count: int,
         raise ValueError(f"shard_index {shard_index} out of range for {shard_count}")
     _require_ground(u, cap)
     engine = _engine_for(u)
-    root = _shard_root(engine, shard_index, shard_count)
-    if root is None:
-        return 0
     if isinstance(engine, _IntervalEngine):
-        return _interval_walk(engine, *root)
-    return _walk(engine, None, *root)
+        return sum(_interval_walk(engine, shard_index, shard_count))
+    root = _shard_root(engine, shard_index, shard_count)
+    return 0 if root is None else _walk(engine, None, *root)
 
 
 def count_by_largest(u: IntervalUniverse, shard_count: int = 1,
                      cap: int = DEFAULT_GROUND_CAP) -> list[int]:
-    """Sum-free subsets of [lo, hi] by largest element, in one walk per shard.
+    """Sum-free subsets of [lo, hi] by largest element, one transfer per shard root.
 
     Entry 0 counts the empty set and entry i the sets whose largest
-    element is lo + i - 1.  The walk adds elements in ascending order, so
-    the sum-free subsets of [lo, n] are exactly those with largest element
-    at most n: the prefix sums are the counts of every [lo, n], n <= hi.
+    element is lo + i - 1.  The sum-free subsets of [lo, n] are exactly
+    those with largest element at most n, so the prefix sums are the
+    counts of every [lo, n], n <= hi, whatever the shard_count.
     """
     _check_shard_count(shard_count)
     _require_ground(u, cap)
     engine = _IntervalEngine(u.lo, u.hi)
-    by_top = [0] * (engine.ground_count + 1)
-    for i in range(shard_count):
-        root = _shard_root(engine, i, shard_count)
-        if root is not None:
-            _interval_walk(engine, *root, by_top)
-    return by_top
+    shards = [_interval_walk(engine, i, shard_count) for i in range(shard_count)]
+    return [sum(column) for column in zip(*shards)]
 
 
 def enumerate_maximum(u: Universe, cap: int = MAXIMUM_CAP) -> list[ElemSet]:

@@ -123,6 +123,7 @@ def test_sweep_intervals_cap_checked_before_any_walk(capsys, monkeypatch):
         raise AssertionError("walker called although the cap is exceeded")
 
     monkeypatch.setattr(sumfree.enumeration, "_interval_walk", no_walk)
+    monkeypatch.setattr(sumfree.enumeration, "_interval_tally", no_walk)
     monkeypatch.setattr(sumfree.enumeration, "_walk", no_walk)
     code, out, err = run(capsys, "sweep-intervals", "--n-max", "41")
     assert code == 3 and out == ""

@@ -337,6 +337,24 @@ def test_single_pass_sweep_prefix_counts():
         assert prefix[hi - 3] == count_sum_free(IntervalUniverse(4, hi)), hi
 
 
+def test_transfer_matches_fused_walk():
+    # the transfer (count_sum_free, count_by_largest) against the fused
+    # walk behind the maximal count, which visits sets one node at a time
+    def walked(u):
+        return build_count_record(u, with_maximal=True).f
+
+    fused = {n: walked(IntervalUniverse(1, n)) for n in range(1, 31)}
+    for n, f in fused.items():
+        assert count_sum_free(IntervalUniverse(1, n)) == f, n
+    assert count_sum_free(IntervalUniverse(1, 33)) == walked(IntervalUniverse(1, 33))
+    prefix = _prefix_counts(count_by_largest(IntervalUniverse(1, 30)))
+    assert prefix[1:] == [fused[n] for n in range(1, 31)]
+    for hi in range(1, 21):
+        for lo in range(1, hi + 1):
+            u = IntervalUniverse(lo, hi)
+            assert count_sum_free(u) == walked(u), (lo, hi)
+
+
 def test_sharded_sweep_matches_unsharded():
     for u in (IntervalUniverse(1, 24), IntervalUniverse(3, 17), IntervalUniverse(1, 2)):
         plain = count_by_largest(u)
