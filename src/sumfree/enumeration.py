@@ -173,10 +173,10 @@ def _walk(engine, visit: Optional[Callable[[int, Optional[int]], None]], s: int,
 def _interval_walk(engine: _IntervalEngine, shard_index: int, shard_count: int) -> list[int]:
     """One shard's sum-free sets of an interval, entry i: largest slot i - 1.
 
-    The shard joins the sub-shards j = shard_index (mod shard_count) of
-    max(shard_count, 8), each carried forward from its root.  Before slot
-    t, of value v, a key holds the members x with x + v <= hi below bit t
-    and the forbidden slots from bit t; a layer maps keys to set counts.
+    The shard joins the sub-shards shard_index (mod shard_count) of
+    max(shard_count, 8), each carried on from its root.  Before slot t a
+    layer maps keys to set counts; a key holds the forbidden slots from bit
+    t and, below it, the members x with x + t + lo <= hi (at a root, all).
     """
     lo, hi, window, size = engine.lo, engine.hi, engine.window, engine.ground_count
     by_top = [0] * (size + 1)
