@@ -27,11 +27,14 @@ from each of at least 8 shard roots, keeping the layers small.  The
 maximal count and the histogram need all of s: their walk counts a free
 tail (the candidates c with c + min(s | {c}) > hi) in one step.  Group
 counts (with the maximal count and the histogram) use the symmetry
-instead: one walk per orbit of a group of automorphisms
-(GroupSpec.orbits), rooted at one element of the orbit, visits only the
-sets holding that element, and each set found stands for |orbit| / m
-sets, m being its members in the orbit.  The listings
-(enumerate_sum_free, enumerate_maximal), the group shards,
+instead, two levels deep.  The sets that meet an orbit of a group of
+automorphisms (GroupSpec.orbits) but no earlier orbit are found from
+one element r of it, and a set with m members in the orbit stands for
+|orbit| / m sets.  The stabiliser of r splits the candidates of {r}
+into orbits in turn (GroupSpec.stabilisers): one walk per orbit Q of
+two or more candidates, rooted at r and one element of Q, weights its
+sets by |Q| / m2 as well, and one walk from {r} takes the rest.  The
+listings (enumerate_sum_free, enumerate_maximal), the group shards,
 enumerate_maximum (pruned by a translation-matching bound) and
 maximal_sets_of_size (cut at a depth) walk from the empty set.  No walk
 builds a mask for a leaf unless it needs one.
@@ -317,47 +320,98 @@ def _orbit_tally(group: GroupSpec, maximal: bool) -> list[int]:
     """The sum-free sets of a group, by cardinality k and maximality x
     (entry 2k + x; x = 0 throughout unless maximal is set).
 
-    One rooted walk per orbit of the automorphisms.  Let O_1, O_2, ... be
-    the orbits (GroupSpec.orbits, largest first) and A_i the sum-free sets
-    that meet O_i but no earlier orbit.  The walk for O_i starts from {r},
-    r in O_i, with the earlier orbits left out of the ground, and finds
-    the N_i(k, x, m) sets holding r that have m members in O_i.  The
-    automorphisms move r onto every element of O_i and map A_i onto
+    Rooted walks, two levels deep.  Let O_1, O_2, ... be the orbits of the
+    automorphisms (GroupSpec.orbits, largest first) and A_i the sum-free
+    sets that meet O_i but no earlier orbit.  Of A_i, take the N_i(k, x, m)
+    sets that hold r, a fixed element of O_i, and have m members in O_i.
+    The automorphisms move r onto every element of O_i and map A_i onto
     itself, keeping k and x, so counting the pairs (y in s & O_i, s) both
     ways gives m * #{s in A_i: k, x, m} = |O_i| * N_i(k, x, m).
+
+    The stabiliser of r (GroupSpec.stabilisers) in turn splits the
+    candidates of {r} into orbits Q_1, Q_2, ... (largest first), and it
+    maps the sets B_ij of A_i that hold r and meet Q_j but no earlier Q
+    onto themselves, keeping k, x and m.  One walk from {r, q}, q in Q_j,
+    with the earlier Q's left out, finds the N_ij(k, x, m, m2) sets of
+    B_ij that hold q and have m2 members in Q_j, and the same argument
+    gives m2 * #{s in B_ij: k, x, m, m2} = |Q_j| * N_ij(k, x, m, m2).  A
+    singleton Q has weight 1, and the singletons, taken in ascending order
+    after the larger Q's, are the children of {r} in one walk from {r}
+    with the larger Q's left out; when the stabiliser fixes every
+    candidate, that is the whole of level two.
     """
     engine = _GroupEngine(group)
     ground = engine.ground_mask
     out = [0] * (2 * group.order)
     out[int(not ground)] = 1  # the empty set, maximal in the trivial group
     earlier = 0
-    for orbit in group.orbits:
+    for orbit, (_, blocks) in zip(group.orbits, group.stabilisers):
         size, r = len(orbit), orbit[0]
         omask = sum(1 << y for y in orbit)
         width = size + 1
         counts = [0] * (len(out) * width)  # [(2k + x) * width + m]
-
-        if maximal:
-            def visit(s: int, forbidden: Optional[int]) -> None:
-                counts[(2 * s.bit_count() + (not ground & ~(s | forbidden))) * width
-                       + (s & omask).bit_count()] += 1
-        else:
-            def visit(s: int, forbidden: Optional[int]) -> None:
-                counts[2 * s.bit_count() * width + (s & omask).bit_count()] += 1
-
-        engine.ground_mask = ground & ~earlier  # the walk offers no other candidates
-        _walk(engine, visit, 1 << r, engine.forbid(0, 0, r) | 1 << r, 0, maximal)
-        for i, n in enumerate(counts):
-            if n:
-                key, m = divmod(i, width)
-                q, rem = divmod(size * n, m)
-                if rem:
-                    raise RuntimeError(
-                        f"{n} sum-free sets of {group.moduli} hold {r} and {m} of its "
-                        f"orbit of {size}: {size} * {n} is not a multiple of {m}")
-                out[key] += q
+        f = engine.forbid(0, 0, r) | 1 << r
+        left = ground & ~earlier  # the ground of the next walk
+        for block in blocks:  # the larger ones first
+            if len(block) == 1:
+                break
+            # all candidates: the stabiliser fixes 2r and each half x of r
+            # in O_i or later, as doubling maps x's orbit (no larger than
+            # O_i) onto O_i one to one
+            qmask = sum(1 << y for y in block)
+            q, qwidth = block[0], len(block) + 1
+            deeper = [0] * (len(counts) * qwidth)  # [((2k + x) * width + m) * qwidth + m2]
+            engine.ground_mask = left
+            _walk(engine, _tally_visit(deeper, ground, width, omask, maximal, qwidth, qmask),
+                  1 << r | 1 << q, engine.forbid(1 << r, f, q) | 1 << q, 0, maximal)
+            _divide_into(counts, deeper, qwidth, len(block),
+                         f"{group.moduli} hold {r}, {q}", f"the stabiliser orbit of {q}")
+            left &= ~qmask
+        engine.ground_mask = left
+        _walk(engine, _tally_visit(counts, ground, width, omask, maximal),
+              1 << r, f, 0, maximal)
+        _divide_into(out, counts, width, size, f"{group.moduli} hold {r}", "its orbit")
         earlier |= omask
     return out
+
+
+def _tally_visit(counts: list[int], ground: int, width: int, omask: int, maximal: bool,
+                 qwidth: int = 1, qmask: int = 0) -> Callable[[int, Optional[int]], None]:
+    """A visit for _walk that adds 1 to counts[((2k + x) * width + m) * qwidth
+    + m2], for a set s of k members, x = 1 if maximal is set and s is
+    maximal, m members in omask and m2 in qmask."""
+    if qmask and maximal:
+        def visit(s: int, forbidden: Optional[int]) -> None:
+            counts[((2 * s.bit_count() + (not ground & ~(s | forbidden))) * width
+                    + (s & omask).bit_count()) * qwidth + (s & qmask).bit_count()] += 1
+    elif qmask:
+        def visit(s: int, forbidden: Optional[int]) -> None:
+            counts[(2 * s.bit_count() * width + (s & omask).bit_count()) * qwidth
+                   + (s & qmask).bit_count()] += 1
+    elif maximal:  # the same, without the m2 term
+        def visit(s: int, forbidden: Optional[int]) -> None:
+            counts[(2 * s.bit_count() + (not ground & ~(s | forbidden))) * width
+                   + (s & omask).bit_count()] += 1
+    else:
+        def visit(s: int, forbidden: Optional[int]) -> None:
+            counts[2 * s.bit_count() * width + (s & omask).bit_count()] += 1
+    return visit
+
+
+def _divide_into(out: list[int], counts: list[int], width: int, size: int,
+                 sets: str, orbit: str) -> None:
+    """out[key] += size * n / m for each n = counts[key * width + m] (m >= 1),
+    n sets having m of the size elements of an orbit; RuntimeError, naming
+    the sets and the orbit, if a division is not exact."""
+    for i, n in enumerate(counts):
+        if n:
+            key, m = divmod(i, width)
+            q, rem = divmod(size * n, m)
+            if rem:
+                raise RuntimeError(
+                    f"{n} sum-free sets of {sets} and {m} of the {size} elements of {orbit}: "
+                    f"{size} * {n} is not a multiple of {m}")
+            out[key] += q
 
 
 @lru_cache(maxsize=None)
@@ -366,8 +420,9 @@ def _interval_count(lo: int, hi: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _group_count(moduli: tuple[int, ...]) -> int:
-    return sum(_orbit_tally(GroupSpec(moduli), False))
+def _group_count(group: GroupSpec) -> int:
+    # keyed by the moduli; the caller's group keeps its tables for later walks
+    return sum(_orbit_tally(group, False))
 
 
 def enumerate_naive(u: Universe, visit: Optional[Callable[[ElemSet], None]] = None) -> int:
@@ -393,7 +448,7 @@ def count_sum_free(u: Universe, cap: int = DEFAULT_GROUND_CAP) -> int:
     _require_ground(u, cap)
     if isinstance(u, IntervalUniverse):
         return _interval_count(u.lo, u.hi)
-    return _group_count(u.group.moduli)
+    return _group_count(u.group)
 
 
 def enumerate_sum_free(u: Universe, visit: Callable[[ElemSet], None],

@@ -199,27 +199,48 @@ class GroupSpec:
 
     @cached_property
     def orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Orbits of the nonzero elements under the automorphism tables.
+        """Orbits of the nonzero elements under the automorphism tables
+        (ordered as by _orbit_partition)."""
+        return _orbit_partition(self.automorphisms, range(1, self.order))
 
-        Each orbit is ascending; the largest orbit comes first, and orbits
-        of equal size keep the order of their least elements.
+    @cached_property
+    def stabilisers(self) -> tuple[tuple[tuple[tuple[int, ...], ...],
+                                         tuple[tuple[int, ...], ...]], ...]:
+        """Per orbit O (aligned with orbits), with root r = O[0]: generators
+        of the stabiliser of r in the group the tables generate, and its
+        orbits on O and the later orbits, r left out.
+
+        A BFS over the tables gives, for each y in O, a table u_y mapping
+        r to y; by Schreier's lemma the non-identity u_{t(y)}^-1 . t . u_y,
+        for every y in O and every table t, generate the stabiliser.  The
+        orbits are ordered as by _orbit_partition; each lies inside one of
+        the orbits of the tables.
         """
-        tables = self.automorphisms
-        seen = [False] * self.order
-        seen[0] = True
+        tables, n = self.automorphisms, self.order
+        identity = tuple(range(n))
         out = []
-        for x in range(1, self.order):
-            if seen[x]:
-                continue
-            seen[x] = True
-            orbit = [x]
-            for y in orbit:  # grows while it is read
+        for i, orbit in enumerate(self.orbits):
+            r = orbit[0]
+            trans, inverse, queue = {r: identity}, {r: identity}, [r]
+            for y in queue:  # grows while it is read
                 for t in tables:
-                    if not seen[t[y]]:
-                        seen[t[y]] = True
-                        orbit.append(t[y])
-            out.append(tuple(sorted(orbit)))
-        out.sort(key=len, reverse=True)
+                    z = t[y]
+                    if z not in trans:
+                        trans[z] = tuple(t[x] for x in trans[y])
+                        inv = [0] * n
+                        for x, image in enumerate(trans[z]):
+                            inv[image] = x
+                        inverse[z] = inv
+                        queue.append(z)
+            gens = set()
+            for y, u in trans.items():
+                for t in tables:
+                    back = inverse[t[y]]
+                    gens.add(tuple(back[t[x]] for x in u))
+            gens.discard(identity)
+            gens = tuple(sorted(gens))
+            later = sorted(x for o in self.orbits[i:] for x in o if x != r)
+            out.append((gens, _orbit_partition(gens, later)))
         return tuple(out)
 
     # derived structure ----------------------------------------------------
@@ -240,6 +261,27 @@ class GroupSpec:
     def to_json_dict(self) -> dict:
         """Wire form {"moduli": [...]}; elements travel as canonical indices."""
         return {"moduli": list(self.moduli)}
+
+
+def _orbit_partition(tables: Sequence[Sequence[int]],
+                     elements: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """The orbits of the tables on the elements (which they must map into
+    themselves): each ascending, the largest first, and orbits of equal
+    size in the order of their least elements (elements ascending)."""
+    seen, out = set(), []
+    for x in elements:
+        if x in seen:
+            continue
+        seen.add(x)
+        orbit = [x]
+        for y in orbit:  # grows while it is read
+            for t in tables:
+                if t[y] not in seen:
+                    seen.add(t[y])
+                    orbit.append(t[y])
+        out.append(tuple(sorted(orbit)))
+    out.sort(key=len, reverse=True)
+    return tuple(out)
 
 
 def _rotate(mask: int, steps: tuple[tuple[int, int, int], ...]) -> int:

@@ -4,8 +4,10 @@ import pytest
 
 from oracles import group_count_oracle, sum_free_table, two_wise_count_oracle
 from sumfree.enumeration import (
+    DEFAULT_GROUND_CAP,
     _GroupEngine,
     _IntervalEngine,
+    _tally,
     build_count_record,
     count_by_cardinality,
     count_by_largest,
@@ -313,6 +315,15 @@ def test_fused_pass_matches_filtered_enumeration():
         assert (rec.f, rec.f_max, rec.by_cardinality) == (f, f_max, hist), u
         found = [s.members() for s in enumerate_maximal(u)]
         assert len(found) == len(maximal) and set(found) == maximal, u
+
+
+def test_orbit_tally_matches_plain_walk():
+    # orders 17-31, past the filtered enumeration: collecting the maximal
+    # sets makes _tally take the plain walk, which visits every set
+    for order in range(17, 32):
+        for g in abelian_groups_of_order(order):
+            u = GroupUniverse(g)
+            assert _tally(u, DEFAULT_GROUND_CAP) == _tally(u, DEFAULT_GROUND_CAP, []), g.moduli
 
 
 def _prefix_counts(by_top):

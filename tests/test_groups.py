@@ -264,3 +264,46 @@ def test_automorphism_check_rejects_a_non_automorphism():
     z2z4 = make_group([2, 4])
     with pytest.raises(RuntimeError, match="no automorphism"):
         z2z4._automorphism_table([2, 2])  # e_1 has order 2, its image e_2 order 4
+
+
+def _generated_order(tables, n: int) -> int:
+    """Order of the permutation group the tables generate, by closure."""
+    found = {tuple(range(n))}
+    queue = list(found)
+    for h in queue:  # grows while it is read
+        for t in tables:
+            g = tuple(map(t.__getitem__, h))
+            if g not in found:
+                found.add(g)
+                queue.append(g)
+    return len(found)
+
+
+def test_stabiliser_generators_and_orbits():
+    for n in range(1, 25):
+        for g in abelian_groups_of_order(n):
+            add = [[g.add_index(a, b) for b in range(n)] for a in range(n)]
+            whole = _generated_order(g.automorphisms, n) if n <= 16 else None
+            assert len(g.stabilisers) == len(g.orbits)
+            for i, (orbit, (gens, blocks)) in enumerate(zip(g.orbits, g.stabilisers)):
+                r = orbit[0]
+                for t in gens:
+                    assert t[r] == r, (g.moduli, r)
+                    assert sorted(t) == list(range(n)) and t != tuple(range(n)), g.moduli
+                    assert all(t[add[a][b]] == add[t[a]][t[b]]
+                               for a in range(n) for b in range(n)), g.moduli
+                # the blocks split r's orbit and the later ones, r left out
+                later = sorted(x for o in g.orbits[i:] for x in o if x != r)
+                assert sorted(x for b in blocks for x in b) == later, (g.moduli, r)
+                assert [len(b) for b in blocks] == sorted(map(len, blocks), reverse=True)
+                # candidates of {r}: neither 2r nor a half of r
+                candidates = {x for x in later if x != add[r][r] and add[x][x] != r}
+                for b in blocks:  # _orbit_tally roots a walk at r and b[0] when len(b) > 1
+                    assert set(b) <= candidates or len(b) == 1, (g.moduli, r, b)
+                    for t in gens:
+                        assert {t[x] for x in b} == set(b), (g.moduli, r, b)
+                if whole:  # orbit-stabiliser
+                    assert len(orbit) * _generated_order(gens, n) == whole, (g.moduli, r)
+    # Z_41's units act regularly: every stabiliser is trivial
+    ((gens, blocks),) = make_group([41]).stabilisers
+    assert gens == () and len(blocks) == 39 and {len(b) for b in blocks} == {1}
