@@ -334,11 +334,12 @@ def _orbit_tally(group: GroupSpec, maximal: bool) -> list[int]:
     onto themselves, keeping k, x and m.  One walk from {r, q}, q in Q_j,
     with the earlier Q's left out, finds the N_ij(k, x, m, m2) sets of
     B_ij that hold q and have m2 members in Q_j, and the same argument
-    gives m2 * #{s in B_ij: k, x, m, m2} = |Q_j| * N_ij(k, x, m, m2).  A
-    singleton Q has weight 1, and the singletons, taken in ascending order
-    after the larger Q's, are the children of {r} in one walk from {r}
-    with the larger Q's left out; when the stabiliser fixes every
-    candidate, that is the whole of level two.
+    gives m2 * #{s in B_ij: k, x, m, m2} = |Q_j| * N_ij(k, x, m, m2).  So
+    N_i is 1 for {r} (at its k, x and m = 1) plus the sum over j and m2 of
+    |Q_j| * N_ij / m2.  A singleton Q has weight 1, and the singletons,
+    taken in ascending order after the larger Q's, are the children of
+    {r} in one walk from {r} with the larger Q's left out; when the
+    stabiliser fixes every candidate, that is the whole of level two.
     """
     engine = _GroupEngine(group)
     ground = engine.ground_mask
