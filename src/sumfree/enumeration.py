@@ -389,7 +389,7 @@ def _tally_visit(counts: list[int], ground: int, width: int, omask: int, maximal
         def visit(s: int, forbidden: Optional[int]) -> None:
             counts[(2 * s.bit_count() * width + (s & omask).bit_count()) * qwidth
                    + (s & qmask).bit_count()] += 1
-    elif maximal:  # the same, without the m2 term
+    elif maximal:  # level one: no m2 popcount, which costs about 100 ns a visit
         def visit(s: int, forbidden: Optional[int]) -> None:
             counts[(2 * s.bit_count() + (not ground & ~(s | forbidden))) * width
                    + (s & omask).bit_count()] += 1
