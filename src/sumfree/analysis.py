@@ -11,7 +11,6 @@ from typing import Optional
 
 from .arith import divisors, is_prime, prime_factors
 from .construct import middle_third, outer_bands
-from .errors import CapacityError
 from .enumeration import (
     DEFAULT_GROUND_CAP,
     MAXIMUM_CAP,
@@ -184,17 +183,15 @@ def structure_verdict(s: ElemSet) -> StructureVerdict:
     return StructureVerdict("pass", "mixed")
 
 
-def decomposition_ratio(n: int, cap: int = 33) -> Fraction:
+def decomposition_ratio(n: int) -> Fraction:
     """f(n) against the odd-count plus top-interval-count decomposition.
 
     Exact value of f(n) / (f(ceil(n/3), n) + 2^ceil(n/2)); the
     approximation it probes is asymptotic, so this is a trend readout,
-    not an identity.
+    not an identity.  count_sum_free's cap bounds n (CapacityError).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n > cap:
-        raise CapacityError(f"decomposition ratio capped at n <= {cap}")
     f = count_sum_free(IntervalUniverse(1, n))
     f_tail = count_sum_free(IntervalUniverse((n + 2) // 3, n))
     f_odd = 1 << ((n + 1) // 2)

@@ -24,7 +24,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .analysis import (
@@ -59,17 +58,6 @@ from .universe import (
     is_sum_free,
     is_two_wise_sum_free,
 )
-
-
-@dataclass
-class ExperimentConfig:
-    """Settings of the interval counting sweep."""
-
-    n_max: int = 33
-    shard_count: int = 1
-    cap: int = DEFAULT_GROUND_CAP
-    output_path: Optional[str] = None
-    format: str = "csv"
 
 
 def _add_universe_flags(p: argparse.ArgumentParser) -> None:
@@ -127,7 +115,7 @@ def _emit_rows(fieldnames: list[str], rows: list[dict], fmt: str, path: Optional
 def _read_int_array(path: str) -> list[int]:
     with open(path, encoding="utf-8") as fh:
         values = json.load(fh)
-    if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
+    if not isinstance(values, list) or not all(type(v) is int for v in values):  # no bools
         raise ValueError(f"{path}: expected a JSON array of integers")
     return values
 
@@ -197,14 +185,14 @@ def cmd_count(args) -> int:
     return 0
 
 
-def interval_sweep_rows(cfg: ExperimentConfig) -> list[dict]:
-    if cfg.n_max < 1:
+def interval_sweep_rows(n_max: int, shard_count: int) -> list[dict]:
+    if n_max < 1:
         return []
     # one walk of [1, n_max]: f(n) counts the sets whose largest element is <= n
-    by_top = count_by_largest(IntervalUniverse(1, cfg.n_max), cfg.shard_count, cfg.cap)
+    by_top = count_by_largest(IntervalUniverse(1, n_max), shard_count)
     rows = []
     f = by_top[0]
-    for n in range(1, cfg.n_max + 1):
+    for n in range(1, n_max + 1):
         f += by_top[n]
         rows.append(
             {
@@ -220,14 +208,8 @@ def interval_sweep_rows(cfg: ExperimentConfig) -> list[dict]:
 
 
 def cmd_sweep_intervals(args) -> int:
-    cfg = ExperimentConfig(
-        n_max=args.n_max,
-        shard_count=args.shards,
-        output_path=args.out,
-        format=args.format,
-    )
-    _emit_rows(["n", "f", "log2_f", "half_n", "ratio", "parity"], interval_sweep_rows(cfg),
-               cfg.format, cfg.output_path)
+    _emit_rows(["n", "f", "log2_f", "half_n", "ratio", "parity"],
+               interval_sweep_rows(args.n_max, args.shards), args.format, args.out)
     return 0
 
 

@@ -31,9 +31,9 @@ instead, two levels deep.  The sets that meet an orbit of a group of
 automorphisms (GroupSpec.orbits) but no earlier orbit are found from
 one element r of it, and a set with m members in the orbit stands for
 |orbit| / m sets.  The stabiliser of r splits the candidates of {r}
-into orbits in turn (GroupSpec.stabilisers): one walk per orbit Q of
-two or more candidates, rooted at r and one element of Q, weights its
-sets by |Q| / m2 as well, and one walk from {r} takes the rest.  The
+into orbits in turn (GroupSpec.stabiliser_orbits): one walk per orbit Q
+of two or more candidates, rooted at r and one element of Q, weights
+its sets by |Q| / m2 as well, and one walk from {r} takes the rest.  The
 listings (enumerate_sum_free, enumerate_maximal), the group shards,
 enumerate_maximum (pruned by a translation-matching bound) and
 maximal_sets_of_size (cut at a depth) walk from the empty set.  No walk
@@ -328,7 +328,7 @@ def _orbit_tally(group: GroupSpec, maximal: bool) -> list[int]:
     itself, keeping k and x, so counting the pairs (y in s & O_i, s) both
     ways gives m * #{s in A_i: k, x, m} = |O_i| * N_i(k, x, m).
 
-    The stabiliser of r (GroupSpec.stabilisers) in turn splits the
+    The stabiliser of r (GroupSpec.stabiliser_orbits) in turn splits the
     candidates of {r} into orbits Q_1, Q_2, ... (largest first), and it
     maps the sets B_ij of A_i that hold r and meet Q_j but no earlier Q
     onto themselves, keeping k, x and m.  One walk from {r, q}, q in Q_j,
@@ -346,7 +346,7 @@ def _orbit_tally(group: GroupSpec, maximal: bool) -> list[int]:
     out = [0] * (2 * group.order)
     out[int(not ground)] = 1  # the empty set, maximal in the trivial group
     earlier = 0
-    for orbit, (_, blocks) in zip(group.orbits, group.stabilisers):
+    for orbit, blocks in zip(group.orbits, group.stabiliser_orbits):
         size, r = len(orbit), orbit[0]
         omask = sum(1 << y for y in orbit)
         width = size + 1
@@ -626,10 +626,7 @@ def count_two_wise(n: int, cap: int = TWO_WISE_CAP) -> int:
     that part's members.  The family is closed under taking subsets, so a
     set with no split left ends its branch.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n > cap:
-        raise CapacityError(f"two-wise counting capped at n <= {cap}, got {n}")
+    _check_two_wise(n, cap)
     window = (1 << (n + 1)) - 1
 
     def rec(splits: list[tuple[int, int, int, int]], first: int) -> int:
@@ -649,6 +646,13 @@ def count_two_wise(n: int, cap: int = TWO_WISE_CAP) -> int:
     # the smallest element goes to the first part without loss of generality
     return 1 + sum(rec([(1 << v, (1 << 2 * v) & window, 0, 0)], v + 1)
                    for v in range(1, n + 1))
+
+
+def _check_two_wise(n: int, cap: int = TWO_WISE_CAP) -> None:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n > cap:
+        raise CapacityError(f"two-wise counting capped at n <= {cap}, got {n}")
 
 
 @dataclass
@@ -678,6 +682,10 @@ def build_count_record(u: Universe, with_maximal: bool = False,
     gives the count unless it is sharded.
     """
     _check_shard_count(shard_count)
+    if with_two_wise:  # before any walk
+        if not (isinstance(u, IntervalUniverse) and u.lo == 1):
+            raise ValueError("two-wise counting is defined for [1, n] universes")
+        _check_two_wise(u.hi)
     fused = with_maximal or with_cardinality
     if fused:
         f, f_max, hist = _tally(u, cap)
@@ -700,7 +708,5 @@ def build_count_record(u: Universe, with_maximal: bool = False,
     if with_cardinality:
         rec.by_cardinality = hist
     if with_two_wise:
-        if not (isinstance(u, IntervalUniverse) and u.lo == 1):
-            raise ValueError("two-wise counting is defined for [1, n] universes")
         rec.f_two_wise = count_two_wise(u.hi)
     return rec

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .arith import partitions, prime_factors
 from .errors import CapacityError
@@ -164,10 +164,8 @@ class GroupSpec:
         for u in range(2, exp):
             if math.gcd(u, exp) == 1 and u not in reached:
                 units.append(u)
-                powers = [1]
-                while powers[-1] * u % exp != 1:
-                    powers.append(powers[-1] * u % exp)
-                reached = {x * y % exp for x in reached for y in powers}
+                (generated,) = _orbit_partition(lambda x: [x * v % exp for v in units], [1])
+                reached = set(generated)
         images = [[u % m * r for m, r in zip(mods, rads)] for u in units]
         for i, (mi, ri) in enumerate(zip(mods, rads)):
             for j, (mj, rj) in enumerate(zip(mods, rads)):
@@ -201,46 +199,31 @@ class GroupSpec:
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the nonzero elements under the automorphism tables
         (ordered as by _orbit_partition)."""
-        return _orbit_partition(self.automorphisms, range(1, self.order))
+        tables = self.automorphisms
+        return _orbit_partition(lambda x: [t[x] for t in tables], range(1, self.order))
 
     @cached_property
-    def stabilisers(self) -> tuple[tuple[tuple[tuple[int, ...], ...],
-                                         tuple[tuple[int, ...], ...]], ...]:
-        """Per orbit O (aligned with orbits), with root r = O[0]: generators
-        of the stabiliser of r in the group the tables generate, and its
-        orbits on O and the later orbits, r left out.
+    def stabiliser_orbits(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per orbit O (aligned with orbits), with root r = O[0]: the orbits
+        of the stabiliser of r, in the group the tables generate, on O and
+        the later orbits, r left out, ordered as by _orbit_partition.
 
-        A BFS over the tables gives, for each y in O, a table u_y mapping
-        r to y; by Schreier's lemma the non-identity u_{t(y)}^-1 . t . u_y,
-        for every y in O and every table t, generate the stabiliser.  The
-        orbits are ordered as by _orbit_partition; each lies inside one of
-        the orbits of the tables.
+        They are read off the orbits of the pairs (r, x), coded r * order + x:
+        y and z share a stabiliser orbit exactly when an automorphism maps
+        (r, y) to (r, z).  Each lies inside one of the orbits of the tables.
         """
         tables, n = self.automorphisms, self.order
-        identity = tuple(range(n))
+
+        def images(pair: int) -> list[int]:
+            r, x = divmod(pair, n)
+            return [t[r] * n + t[x] for t in tables]
+
         out = []
         for i, orbit in enumerate(self.orbits):
             r = orbit[0]
-            trans, inverse, queue = {r: identity}, {r: identity}, [r]
-            for y in queue:  # grows while it is read
-                for t in tables:
-                    z = t[y]
-                    if z not in trans:
-                        trans[z] = tuple(t[x] for x in trans[y])
-                        inv = [0] * n
-                        for x, image in enumerate(trans[z]):
-                            inv[image] = x
-                        inverse[z] = inv
-                        queue.append(z)
-            gens = set()
-            for y, u in trans.items():
-                for t in tables:
-                    back = inverse[t[y]]
-                    gens.add(tuple(back[t[x]] for x in u))
-            gens.discard(identity)
-            gens = tuple(sorted(gens))
             later = sorted(x for o in self.orbits[i:] for x in o if x != r)
-            out.append((gens, _orbit_partition(gens, later)))
+            pairs = _orbit_partition(images, [r * n + x for x in later])
+            out.append(tuple(tuple(p % n for p in o if p // n == r) for o in pairs))
         return tuple(out)
 
     # derived structure ----------------------------------------------------
@@ -263,11 +246,12 @@ class GroupSpec:
         return {"moduli": list(self.moduli)}
 
 
-def _orbit_partition(tables: Sequence[Sequence[int]],
+def _orbit_partition(images: Callable[[int], Iterable[int]],
                      elements: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """The orbits of the tables on the elements (which they must map into
-    themselves): each ascending, the largest first, and orbits of equal
-    size in the order of their least elements (elements ascending)."""
+    """The orbits under the map x -> images(x) that meet the elements, each
+    the BFS closure of the first of its members the elements give: each
+    ascending, the largest first, and orbits of equal size in the order the
+    elements meet them."""
     seen, out = set(), []
     for x in elements:
         if x in seen:
@@ -275,10 +259,10 @@ def _orbit_partition(tables: Sequence[Sequence[int]],
         seen.add(x)
         orbit = [x]
         for y in orbit:  # grows while it is read
-            for t in tables:
-                if t[y] not in seen:
-                    seen.add(t[y])
-                    orbit.append(t[y])
+            for z in images(y):
+                if z not in seen:
+                    seen.add(z)
+                    orbit.append(z)
         out.append(tuple(sorted(orbit)))
     out.sort(key=len, reverse=True)
     return tuple(out)
@@ -294,10 +278,10 @@ def _rotate(mask: int, steps: tuple[tuple[int, int, int], ...]) -> int:
 
 def make_group(moduli: Iterable[int], max_order: int = DEFAULT_MAX_ORDER) -> GroupSpec:
     """Build a GroupSpec, validating moduli and the order cap."""
-    mods = tuple(int(m) for m in moduli)
+    mods = tuple(moduli)
     for m in mods:
-        if m < 2:
-            raise ValueError(f"invalid modulus {m}: must be >= 2")
+        if not isinstance(m, int) or m < 2:
+            raise ValueError(f"invalid modulus {m!r}: must be an integer >= 2")
     order = math.prod(mods)
     if order > max_order:
         raise CapacityError(f"group order {order} exceeds cap {max_order}")

@@ -16,6 +16,7 @@ from sumfree.analysis import (
 )
 from sumfree.construct import odds
 from sumfree.enumeration import enumerate_sum_free
+from sumfree.errors import CapacityError
 from sumfree.groups import abelian_groups_of_order, make_group
 from sumfree.universe import ElemSet, GroupUniverse, IntervalUniverse, is_maximal_sum_free
 
@@ -130,6 +131,8 @@ def test_structure_verdict_small_sweep():
 
 def test_decomposition_ratio_example():
     assert decomposition_ratio(3) == Fraction(6, 10)
+    with pytest.raises(CapacityError):  # count_sum_free's ground cap of 40
+        decomposition_ratio(41)
 
 
 def test_singleton_scan():

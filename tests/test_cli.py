@@ -50,6 +50,14 @@ def test_verify_out_of_universe(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_rejects_json_booleans(tmp_path, capsys):
+    f = tmp_path / "s.json"
+    f.write_text("[true, 2]")  # true is not the integer 1
+    code, out, err = run(capsys, "verify", "--interval", "5", "--set", str(f))
+    assert code == 2 and out == ""
+    assert "array of integers" in err
+
+
 def test_missing_universe_is_input_error(tmp_path, capsys):
     f = tmp_path / "s.json"
     f.write_text("[1]")
@@ -103,6 +111,23 @@ def test_count_two_wise_flag(capsys):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["f_2wise"] == 31
+
+
+def test_count_two_wise_checked_before_any_walk(capsys, monkeypatch):
+    import sumfree.enumeration
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walker called although two-wise counting is refused")
+
+    for name in ("_walk", "_interval_walk", "_interval_tally", "count_two_wise"):
+        monkeypatch.setattr(sumfree.enumeration, name, no_walk)
+    for universe in (["--group", "37"], ["--interval-lo", "2", "--interval-hi", "33"]):
+        code, out, err = run(capsys, "count", *universe, "--2wise")
+        assert code == 2 and out == ""
+        assert "[1, n] universes" in err
+    code, out, err = run(capsys, "count", "--interval", "19", "--2wise")
+    assert code == 3 and out == ""
+    assert "capped at n <= 18, got 19" in err
 
 
 def test_sweep_intervals_golden_rows(capsys):
@@ -237,6 +262,14 @@ def test_extract_command(tmp_path, capsys):
     trace = json.loads(out)
     assert trace["p"] == 5 and trace["dilator"] == 1
     assert trace["subset"] == [2, 3]
+
+
+def test_extract_rejects_json_booleans(tmp_path, capsys):
+    f = tmp_path / "a.json"
+    f.write_text("[true, 4]")
+    code, out, err = run(capsys, "extract", str(f))
+    assert code == 2 and out == ""
+    assert "array of integers" in err
 
 
 def test_random_command_deterministic(capsys):

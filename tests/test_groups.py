@@ -34,6 +34,11 @@ def test_make_group_errors():
         make_group([2] * 21)  # order 2^21 over the default 2^20 cap
 
 
+def test_make_group_rejects_non_integer_moduli():
+    with pytest.raises(ValueError, match="must be an integer"):
+        make_group([4.7])  # not truncated to Z_4
+
+
 def test_add_neg_identity_examples():
     z5 = make_group([5])
     assert z5.add(z5.element([3]), z5.element([4])).index == 2
@@ -228,6 +233,11 @@ def test_group_json_round_trip():
         group_from_json({"modulus": [2]})
 
 
+def test_group_from_json_rejects_string_moduli():
+    with pytest.raises(ValueError, match="must be an integer"):
+        group_from_json({"moduli": ["3"]})
+
+
 def test_automorphism_tables_are_automorphisms():
     for n in range(1, 25):
         for g in abelian_groups_of_order(n):
@@ -266,8 +276,8 @@ def test_automorphism_check_rejects_a_non_automorphism():
         z2z4._automorphism_table([2, 2])  # e_1 has order 2, its image e_2 order 4
 
 
-def _generated_order(tables, n: int) -> int:
-    """Order of the permutation group the tables generate, by closure."""
+def _generated_group(tables, n: int) -> set[tuple[int, ...]]:
+    """The permutation group the tables generate, by closure."""
     found = {tuple(range(n))}
     queue = list(found)
     for h in queue:  # grows while it is read
@@ -276,22 +286,17 @@ def _generated_order(tables, n: int) -> int:
             if g not in found:
                 found.add(g)
                 queue.append(g)
-    return len(found)
+    return found
 
 
-def test_stabiliser_generators_and_orbits():
+def test_stabiliser_orbits():
     for n in range(1, 25):
         for g in abelian_groups_of_order(n):
             add = [[g.add_index(a, b) for b in range(n)] for a in range(n)]
-            whole = _generated_order(g.automorphisms, n) if n <= 16 else None
-            assert len(g.stabilisers) == len(g.orbits)
-            for i, (orbit, (gens, blocks)) in enumerate(zip(g.orbits, g.stabilisers)):
+            whole = _generated_group(g.automorphisms, n) if n <= 16 else None
+            assert len(g.stabiliser_orbits) == len(g.orbits)
+            for i, (orbit, blocks) in enumerate(zip(g.orbits, g.stabiliser_orbits)):
                 r = orbit[0]
-                for t in gens:
-                    assert t[r] == r, (g.moduli, r)
-                    assert sorted(t) == list(range(n)) and t != tuple(range(n)), g.moduli
-                    assert all(t[add[a][b]] == add[t[a]][t[b]]
-                               for a in range(n) for b in range(n)), g.moduli
                 # the blocks split r's orbit and the later ones, r left out
                 later = sorted(x for o in g.orbits[i:] for x in o if x != r)
                 assert sorted(x for b in blocks for x in b) == later, (g.moduli, r)
@@ -300,10 +305,10 @@ def test_stabiliser_generators_and_orbits():
                 candidates = {x for x in later if x != add[r][r] and add[x][x] != r}
                 for b in blocks:  # _orbit_tally roots a walk at r and b[0] when len(b) > 1
                     assert set(b) <= candidates or len(b) == 1, (g.moduli, r, b)
-                    for t in gens:
-                        assert {t[x] for x in b} == set(b), (g.moduli, r, b)
-                if whole:  # orbit-stabiliser
-                    assert len(orbit) * _generated_order(gens, n) == whole, (g.moduli, r)
+                if whole:  # the orbits of the automorphisms that fix r
+                    fixing = [h for h in whole if h[r] == r]
+                    expected = {frozenset(h[x] for h in fixing) for x in later}
+                    assert set(map(frozenset, blocks)) == expected, (g.moduli, r)
     # Z_41's units act regularly: every stabiliser is trivial
-    ((gens, blocks),) = make_group([41]).stabilisers
-    assert gens == () and len(blocks) == 39 and {len(b) for b in blocks} == {1}
+    (blocks,) = make_group([41]).stabiliser_orbits
+    assert len(blocks) == 39 and {len(b) for b in blocks} == {1}
