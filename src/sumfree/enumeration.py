@@ -626,7 +626,10 @@ def count_two_wise(n: int, cap: int = TWO_WISE_CAP) -> int:
     that part's members.  The family is closed under taking subsets, so a
     set with no split left ends its branch.
     """
-    _check_two_wise(n, cap)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n > cap:
+        raise CapacityError(f"two-wise counting capped at n <= {cap}, got {n}")
     window = (1 << (n + 1)) - 1
 
     def rec(splits: list[tuple[int, int, int, int]], first: int) -> int:
@@ -646,13 +649,6 @@ def count_two_wise(n: int, cap: int = TWO_WISE_CAP) -> int:
     # the smallest element goes to the first part without loss of generality
     return 1 + sum(rec([(1 << v, (1 << 2 * v) & window, 0, 0)], v + 1)
                    for v in range(1, n + 1))
-
-
-def _check_two_wise(n: int, cap: int = TWO_WISE_CAP) -> None:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n > cap:
-        raise CapacityError(f"two-wise counting capped at n <= {cap}, got {n}")
 
 
 @dataclass
@@ -682,10 +678,11 @@ def build_count_record(u: Universe, with_maximal: bool = False,
     gives the count unless it is sharded.
     """
     _check_shard_count(shard_count)
-    if with_two_wise:  # before any walk
+    f_two_wise = None
+    if with_two_wise:  # first, so that its checks come before any other walk
         if not (isinstance(u, IntervalUniverse) and u.lo == 1):
             raise ValueError("two-wise counting is defined for [1, n] universes")
-        _check_two_wise(u.hi)
+        f_two_wise = count_two_wise(u.hi)
     fused = with_maximal or with_cardinality
     if fused:
         f, f_max, hist = _tally(u, cap)
@@ -697,7 +694,7 @@ def build_count_record(u: Universe, with_maximal: bool = False,
     elif not fused:
         f = count_sum_free(u, cap)
     rec = CountRecord(universe=u.describe(), size=u.ground_size, f=f,
-                      shard_count=shard_count)
+                      f_two_wise=f_two_wise, shard_count=shard_count)
     if isinstance(u, IntervalUniverse) and u.lo == 1:
         n = u.hi
         rec.f_odd = 1 << ((n + 1) // 2)
@@ -707,6 +704,4 @@ def build_count_record(u: Universe, with_maximal: bool = False,
         rec.f_max = f_max
     if with_cardinality:
         rec.by_cardinality = hist
-    if with_two_wise:
-        rec.f_two_wise = count_two_wise(u.hi)
     return rec

@@ -119,7 +119,8 @@ def test_count_two_wise_checked_before_any_walk(capsys, monkeypatch):
     def no_walk(*args, **kwargs):
         raise AssertionError("walker called although two-wise counting is refused")
 
-    for name in ("_walk", "_interval_walk", "_interval_tally", "count_two_wise"):
+    # count_two_wise itself checks n against its cap before it walks
+    for name in ("_walk", "_interval_walk", "_interval_tally"):
         monkeypatch.setattr(sumfree.enumeration, name, no_walk)
     for universe in (["--group", "37"], ["--interval-lo", "2", "--interval-hi", "33"]):
         code, out, err = run(capsys, "count", *universe, "--2wise")
