@@ -75,8 +75,10 @@ def _universe_from_args(args):
     if args.group is not None:
         if picked > 1:
             raise ValueError("give either interval flags or --group, not both")
-        moduli = [int(x) for x in args.group.split(",") if x.strip()]
-        return GroupUniverse(make_group(moduli))
+        items = args.group.split(",")
+        if not all(x.strip() for x in items):
+            raise ValueError(f"--group {args.group!r} has an empty item")
+        return GroupUniverse(make_group([int(x) for x in items]))
     if args.interval is not None:
         if args.interval_lo is not None or args.interval_hi is not None:
             raise ValueError("--interval conflicts with --interval-lo/--interval-hi")

@@ -1,6 +1,6 @@
 """Exhaustive enumeration and counting of sum-free subsets.
 
-Two engines back everything here:
+Two algorithms back everything here:
 
 * a naive binary-counter reference that tests every subset with the
   generic predicate (kept deliberately dumb, it is the oracle);
@@ -9,11 +9,14 @@ Two engines back everything here:
   by elements that keep it sum-free and never visits a set that is not
   sum-free.
 
-The walk maintains a "forbidden" bit mask per node.  For intervals,
-elements are taken in ascending order, so the only way a later candidate
-can break sum-freeness is by being a sum of two chosen elements; the mask
-is just the running sumset.  For groups, wraparound means a candidate can
-also hit a chosen element by addition or halving, so the mask tracks the
+The walk maintains a "forbidden" bit mask per node, and the universe
+gives its step (forbid, with excluded for the maximum search's bound;
+see universe.py): the walkers here hold no mask arithmetic of their own
+and are handed the ground they walk in.  For intervals, elements are
+taken in ascending order, so the only way a later candidate can break
+sum-freeness is by being a sum of two chosen elements; the mask is just
+the running sumset.  For groups, wraparound means a candidate can also
+hit a chosen element by addition or halving, so the mask tracks the
 sumset, the difference set and the half-set together, which also makes
 the maximality test a single mask comparison.  Adding an element costs
 two translations of index masks (GroupSpec.translation_steps).
@@ -50,7 +53,6 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Optional
 
-from .groups import GroupSpec, _rotate
 from .universe import (
     ElemSet,
     GroupUniverse,
@@ -64,82 +66,7 @@ NAIVE_CAP = 25
 DEFAULT_GROUND_CAP = 40
 MAXIMUM_CAP = 63  # the maximum search reaches every group of order 64
 TWO_WISE_CAP = 18
-
-
-class _IntervalEngine:
-    """Mask arithmetic over slots v - lo for the interval [lo, hi]."""
-
-    __slots__ = ("lo", "hi", "window", "ground_mask", "ground_count", "first_slot")
-
-    def __init__(self, lo: int, hi: int):
-        self.lo = lo
-        self.hi = hi
-        n = hi - lo + 1
-        self.window = (1 << n) - 1
-        self.ground_mask = self.window
-        self.ground_count = n
-        self.first_slot = 0  # slot of ground element 0
-
-    def forbid(self, s_mask: int, f_mask: int, slot: int) -> int:
-        # adding v puts every x + v (x in the new set, v included) off limits;
-        # shifting a slot mask by the value v is exactly that
-        v = slot + self.lo
-        return f_mask | (((s_mask | (1 << slot)) << v) & self.window)
-
-    def excluded(self, c: int, slot: int) -> int:
-        # the pairs a, a + v in c form paths: ceil(E/2) for E pairs
-        return ((c & (c << (slot + self.lo))).bit_count() + 1) // 2
-
-
-class _GroupEngine:
-    """Mask arithmetic over canonical indices of a group, by translation.
-
-    Adding v to s forbids s' + v, s' - v and v - s' (s' = s | {v}), and
-    the halves of v: one translation by v of s' | -s' and one by -v of
-    s'.  The forbidden mask carries -s' above bit order, where the ground
-    tests do not look.
-    """
-
-    __slots__ = ("order", "ground_mask", "ground_count", "first_slot", "plans")
-
-    def __init__(self, group: GroupSpec):
-        order, neg = group.order, group.negation
-        halves = [0] * order
-        for u in range(order):
-            halves[group.add_index(u, u)] |= 1 << u
-        steps = [group.translation_steps(v) for v in range(order)]
-        self.order = order
-        self.ground_mask = (1 << order) - 2
-        self.ground_count = order - 1
-        self.first_slot = 1  # the identity is not a candidate
-        # per slot v: its halves and -v (above bit order), the rotations by
-        # v and by -v; none by -v when v = -v, as then s' - v = s' + v
-        self.plans = [
-            (halves[v] | 1 << (order + neg[v]), steps[v], steps[neg[v]] if neg[v] != v else None)
-            for v in range(order)
-        ]
-
-    def forbid(self, s_mask: int, f_mask: int, slot: int) -> int:
-        own, plus, minus = self.plans[slot]
-        s2 = s_mask | (1 << slot)
-        nf = f_mask | own
-        nf |= _rotate(s2 | (nf >> self.order), plus)
-        return nf if minus is None else nf | _rotate(s2, minus)
-
-    def excluded(self, c: int, slot: int) -> int:
-        # the pairs a, a + v in c form paths and cycles, ceil(E/2) for E
-        # pairs; when v = -v each pair is counted from both ends
-        _, plus, minus = self.plans[slot]
-        e = (c & _rotate(c, plus)).bit_count()
-        return e // 2 if minus is None else (e + 1) // 2
-
-
-def _engine_for(u: Universe):
-    if isinstance(u, IntervalUniverse):
-        return _IntervalEngine(u.lo, u.hi)
-    if isinstance(u, GroupUniverse):
-        return _GroupEngine(u.group)
-    raise TypeError(f"unsupported universe {u!r}")
+SHARD_CAP = 4096  # each shard costs a root and a result row, walked or not
 
 
 def _require_ground(u: Universe, cap: int) -> None:
@@ -149,9 +76,11 @@ def _require_ground(u: Universe, cap: int) -> None:
         )
 
 
-def _walk(engine, visit: Optional[Callable[[int, Optional[int]], None]], s: int, f: int,
-          min_slot: int, masks: bool = False) -> int:
-    """Count the sets below s, one node per set; visit(s, forbidden) at each.
+def _walk(forbid: Callable[[int, int, int], int],
+          visit: Optional[Callable[[int, Optional[int]], None]],
+          ground: int, s: int, f: int, min_slot: int, masks: bool = False) -> int:
+    """Count the sets below s inside ground, one node per set, stepping by
+    forbid (a universe's); visit(s, forbidden) at each.
 
     The child on a node's last candidate is a leaf; unless masks is set,
     it gets no mask and is visited with forbidden None.
@@ -159,13 +88,13 @@ def _walk(engine, visit: Optional[Callable[[int, Optional[int]], None]], s: int,
     if visit is not None:
         visit(s, f)
     total = 1
-    avail = engine.ground_mask & ~f & (-1 << min_slot)
+    avail = ground & ~f & (-1 << min_slot)
     while avail:
         b = avail & -avail
         avail ^= b
         if avail or masks:
             slot = b.bit_length() - 1
-            total += _walk(engine, visit, s | b, engine.forbid(s, f, slot), slot + 1, masks)
+            total += _walk(forbid, visit, ground, s | b, forbid(s, f, slot), slot + 1, masks)
         else:
             total += 1
             if visit is not None:
@@ -173,7 +102,7 @@ def _walk(engine, visit: Optional[Callable[[int, Optional[int]], None]], s: int,
     return total
 
 
-def _interval_walk(engine: _IntervalEngine, shard_index: int, shard_count: int) -> list[int]:
+def _interval_walk(u: IntervalUniverse, shard_index: int, shard_count: int) -> list[int]:
     """One shard's sum-free sets of an interval, entry i: largest slot i - 1.
 
     The shard joins the sub-shards shard_index (mod shard_count) of
@@ -181,12 +110,12 @@ def _interval_walk(engine: _IntervalEngine, shard_index: int, shard_count: int) 
     layer maps keys to set counts; a key holds the forbidden slots from bit
     t and, below it, the members x with x + t + lo <= hi (at a root, all).
     """
-    lo, hi, window, size = engine.lo, engine.hi, engine.window, engine.ground_count
+    lo, hi, window, size = u.lo, u.hi, u.ground_mask, u.ground_size
     by_top = [0] * (size + 1)
     tails: dict[int, int] = {}  # keys no member can sum in: free slots -> sets
     roots = max(shard_count, 8)
     for j in range(shard_index, roots, shard_count):
-        root = _shard_root(engine, j, roots)
+        root = _shard_root(u, j, roots)
         if root is None:
             continue
         s, f, first = root
@@ -220,7 +149,7 @@ def _interval_walk(engine: _IntervalEngine, shard_index: int, shard_count: int) 
     return by_top
 
 
-def _interval_tally(engine: _IntervalEngine,
+def _interval_tally(u: IntervalUniverse,
                     found: Optional[list[int]]) -> tuple[int, int, list[int]]:
     """Count, maximal count and cardinality histogram of an interval, one walk.
 
@@ -231,8 +160,8 @@ def _interval_tally(engine: _IntervalEngine,
     new differences v - x.  Of a node and its free-tail sets only
     s | tail can be maximal, since any tail candidate can join the others.
     """
-    lo, hi, window = engine.lo, engine.hi, engine.window
-    width = engine.ground_count + 1
+    lo, hi, window = u.lo, u.hi, u.ground_mask
+    width = u.ground_size + 1
     pairs = [0] * (width * width)  # [node cardinality * width + tail size]
     f_max = 0
 
@@ -292,15 +221,14 @@ def _tally(u: Universe, cap: int,
     """
     _require_ground(u, cap)
     if isinstance(u, IntervalUniverse):
-        f, f_max, hist = _interval_tally(_IntervalEngine(u.lo, u.hi), found)
+        f, f_max, hist = _interval_tally(u, found)
     elif found is None:
-        tally = _orbit_tally(u.group, True)
+        tally = _orbit_tally(u, True)
         hist = [tally[2 * k] + tally[2 * k + 1] for k in range(u.group.order)]
         f, f_max = sum(hist), sum(tally[1::2])
     else:
-        engine = _GroupEngine(u.group)
-        ground = engine.ground_mask
-        hist = [0] * (engine.order + 1)
+        ground = u.ground_mask
+        hist = [0] * (u.group.order + 1)
         f_max = 0
 
         def visit(s: int, forbidden: int) -> None:
@@ -312,11 +240,11 @@ def _tally(u: Universe, cap: int,
                 f_max += 1
                 found.append(s)
 
-        f = _walk(engine, visit, 0, 0, 0, True)
+        f = _walk(u.forbid, visit, ground, 0, 0, 0, True)
     return f, f_max, {m: c for m, c in enumerate(hist) if c}
 
 
-def _orbit_tally(group: GroupSpec, maximal: bool) -> list[int]:
+def _orbit_tally(u: GroupUniverse, maximal: bool) -> list[int]:
     """The sum-free sets of a group, by cardinality k and maximality x
     (entry 2k + x; x = 0 throughout unless maximal is set).
 
@@ -341,8 +269,7 @@ def _orbit_tally(group: GroupSpec, maximal: bool) -> list[int]:
     {r} in one walk from {r} with the larger Q's left out; when the
     stabiliser fixes every candidate, that is the whole of level two.
     """
-    engine = _GroupEngine(group)
-    ground = engine.ground_mask
+    group, forbid, ground = u.group, u.forbid, u.ground_mask
     out = [0] * (2 * group.order)
     out[int(not ground)] = 1  # the empty set, maximal in the trivial group
     earlier = 0
@@ -351,7 +278,7 @@ def _orbit_tally(group: GroupSpec, maximal: bool) -> list[int]:
         omask = sum(1 << y for y in orbit)
         width = size + 1
         counts = [0] * (len(out) * width)  # [(2k + x) * width + m]
-        f = engine.forbid(0, 0, r) | 1 << r
+        f = forbid(0, 0, r) | 1 << r
         left = ground & ~earlier  # the ground of the next walk
         for block in blocks:  # the larger ones first
             if len(block) == 1:
@@ -362,15 +289,13 @@ def _orbit_tally(group: GroupSpec, maximal: bool) -> list[int]:
             qmask = sum(1 << y for y in block)
             q, qwidth = block[0], len(block) + 1
             deeper = [0] * (len(counts) * qwidth)  # [((2k + x) * width + m) * qwidth + m2]
-            engine.ground_mask = left
-            _walk(engine, _tally_visit(deeper, ground, width, omask, maximal, qwidth, qmask),
-                  1 << r | 1 << q, engine.forbid(1 << r, f, q) | 1 << q, 0, maximal)
+            _walk(forbid, _tally_visit(deeper, ground, width, omask, maximal, qwidth, qmask),
+                  left, 1 << r | 1 << q, forbid(1 << r, f, q) | 1 << q, 0, maximal)
             _divide_into(counts, deeper, qwidth, len(block),
                          f"{group.moduli} hold {r}, {q}", f"the stabiliser orbit of {q}")
             left &= ~qmask
-        engine.ground_mask = left
-        _walk(engine, _tally_visit(counts, ground, width, omask, maximal),
-              1 << r, f, 0, maximal)
+        _walk(forbid, _tally_visit(counts, ground, width, omask, maximal),
+              left, 1 << r, f, 0, maximal)
         _divide_into(out, counts, width, size, f"{group.moduli} hold {r}", "its orbit")
         earlier |= omask
     return out
@@ -416,14 +341,14 @@ def _divide_into(out: list[int], counts: list[int], width: int, size: int,
 
 
 @lru_cache(maxsize=None)
-def _interval_count(lo: int, hi: int) -> int:
-    return sum(_interval_walk(_IntervalEngine(lo, hi), 0, 1))
+def _interval_count(u: IntervalUniverse) -> int:
+    return sum(_interval_walk(u, 0, 1))
 
 
 @lru_cache(maxsize=None)
-def _group_count(group: GroupSpec) -> int:
-    # keyed by the moduli; the caller's group keeps its tables for later walks
-    return sum(_orbit_tally(group, False))
+def _group_count(u: GroupUniverse) -> int:
+    # keyed by the moduli; the caller's universe keeps the walk's tables for later walks
+    return sum(_orbit_tally(u, False))
 
 
 def enumerate_naive(u: Universe, visit: Optional[Callable[[ElemSet], None]] = None) -> int:
@@ -447,25 +372,24 @@ def enumerate_naive(u: Universe, visit: Optional[Callable[[ElemSet], None]] = No
 def count_sum_free(u: Universe, cap: int = DEFAULT_GROUND_CAP) -> int:
     """Number of sum-free subsets of the universe, empty set included."""
     _require_ground(u, cap)
-    if isinstance(u, IntervalUniverse):
-        return _interval_count(u.lo, u.hi)
-    return _group_count(u.group)
+    return (_interval_count if isinstance(u, IntervalUniverse) else _group_count)(u)
 
 
 def enumerate_sum_free(u: Universe, visit: Callable[[ElemSet], None],
                        cap: int = DEFAULT_GROUND_CAP) -> int:
     """Invoke visit on every sum-free subset (ascending lexicographic order)."""
     _require_ground(u, cap)
-    engine = _engine_for(u)
-    return _walk(engine, lambda mask, _: visit(ElemSet(u, mask)), 0, 0, 0)
+    return _walk(u.forbid, lambda mask, _: visit(ElemSet(u, mask)), u.ground_mask, 0, 0, 0)
 
 
 def _check_shard_count(shard_count: int) -> None:
     if shard_count < 1 or shard_count & (shard_count - 1):
         raise ValueError(f"shard_count must be a power of two, got {shard_count}")
+    if shard_count > SHARD_CAP:
+        raise CapacityError(f"shard_count {shard_count} refused, cap is {SHARD_CAP}")
 
 
-def _shard_root(engine, shard_index: int,
+def _shard_root(u: Universe, shard_index: int,
                 shard_count: int) -> Optional[tuple[int, int, int]]:
     """(set, forbidden mask, first free slot) the shard's walk starts from.
 
@@ -475,17 +399,17 @@ def _shard_root(engine, shard_index: int,
     s = f = 0
     for j in range(k):
         include = (shard_index >> j) & 1
-        if j >= engine.ground_count:
+        if j >= u.ground_size:
             if include:
                 return None
             continue
-        slot = engine.first_slot + j
+        slot = u.first_slot + j
         if include:
             if (f >> slot) & 1:
                 return None
-            f = engine.forbid(s, f, slot)
+            f = u.forbid(s, f, slot)
             s |= 1 << slot
-    return s, f, engine.first_slot + min(k, engine.ground_count)
+    return s, f, u.first_slot + min(k, u.ground_size)
 
 
 def count_sum_free_sharded(u: Universe, shard_index: int, shard_count: int,
@@ -500,11 +424,10 @@ def count_sum_free_sharded(u: Universe, shard_index: int, shard_count: int,
     if not 0 <= shard_index < shard_count:
         raise ValueError(f"shard_index {shard_index} out of range for {shard_count}")
     _require_ground(u, cap)
-    engine = _engine_for(u)
-    if isinstance(engine, _IntervalEngine):
-        return sum(_interval_walk(engine, shard_index, shard_count))
-    root = _shard_root(engine, shard_index, shard_count)
-    return 0 if root is None else _walk(engine, None, *root)
+    if isinstance(u, IntervalUniverse):
+        return sum(_interval_walk(u, shard_index, shard_count))
+    root = _shard_root(u, shard_index, shard_count)
+    return 0 if root is None else _walk(u.forbid, None, u.ground_mask, *root)
 
 
 def count_by_largest(u: IntervalUniverse, shard_count: int = 1,
@@ -518,8 +441,7 @@ def count_by_largest(u: IntervalUniverse, shard_count: int = 1,
     """
     _check_shard_count(shard_count)
     _require_ground(u, cap)
-    engine = _IntervalEngine(u.lo, u.hi)
-    shards = [_interval_walk(engine, i, shard_count) for i in range(shard_count)]
+    shards = [_interval_walk(u, i, shard_count) for i in range(shard_count)]
     return [sum(column) for column in zip(*shards)]
 
 
@@ -536,7 +458,7 @@ def enumerate_maximum(u: Universe, cap: int = MAXIMUM_CAP) -> list[ElemSet]:
     computed.  Ties stay: the list holds every maximum set.
     """
     _require_ground(u, cap)
-    engine = _engine_for(u)
+    forbid, excluded, ground = u.forbid, u.excluded, u.ground_mask
     best = 0
     found: list[int] = []
 
@@ -547,14 +469,14 @@ def enumerate_maximum(u: Universe, cap: int = MAXIMUM_CAP) -> list[ElemSet]:
             found = [s]
         elif card == best:
             found.append(s)
-        avail = engine.ground_mask & ~f & (-1 << min_slot)
+        avail = ground & ~f & (-1 << min_slot)
         size = card + avail.bit_count()
         if avail and size // 2 < best:
             c, rest = s | avail, s
             while rest:
                 b = rest & -rest
                 rest ^= b
-                if size - engine.excluded(c, b.bit_length() - 1) < best:
+                if size - excluded(c, b.bit_length() - 1) < best:
                     return
         while avail:
             b = avail & -avail
@@ -565,7 +487,7 @@ def enumerate_maximum(u: Universe, cap: int = MAXIMUM_CAP) -> list[ElemSet]:
                 return
             slot = b.bit_length() - 1
             # the child on the last candidate is a leaf: all forbidden (-1)
-            rec(s | b, engine.forbid(s, f, slot) if avail else -1, slot + 1, card + 1)
+            rec(s | b, forbid(s, f, slot) if avail else -1, slot + 1, card + 1)
 
     rec(0, 0, 0, 0)
     return [ElemSet(u, mask) for mask in found]
@@ -584,9 +506,11 @@ def maximal_sets_of_size(u: GroupUniverse, size: int) -> list[ElemSet]:
     The group walk cut at depth size: its forbidden mask holds exactly
     the elements that cannot join s, so s is maximal when
     ground & ~(s | forbidden) == 0.  About order^size / size! nodes.
+    An interval's mask holds only the sums above s, so intervals are refused.
     """
-    engine = _GroupEngine(u.group)
-    ground = engine.ground_mask
+    if not isinstance(u, GroupUniverse):
+        raise TypeError(f"maximal_sets_of_size needs a group universe, got {u.describe()}")
+    forbid, ground = u.forbid, u.ground_mask
     found: list[int] = []
 
     def rec(s: int, f: int, min_slot: int, depth: int) -> None:
@@ -599,7 +523,7 @@ def maximal_sets_of_size(u: GroupUniverse, size: int) -> list[ElemSet]:
             b = avail & -avail
             avail ^= b
             slot = b.bit_length() - 1
-            rec(s | b, engine.forbid(s, f, slot), slot + 1, depth - 1)
+            rec(s | b, forbid(s, f, slot), slot + 1, depth - 1)
 
     rec(0, 0, 0, size)
     return [ElemSet(u, mask) for mask in found]

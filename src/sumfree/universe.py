@@ -16,13 +16,20 @@ Two conventions matter everywhere downstream:
 
 Interval sums that overflow the window are simply outside every subset,
 never an error.
+
+Each universe is also the one home of its mask arithmetic: plus and minus
+for the predicates, and the step of every walk in enumeration.py.  A walk
+takes candidates in ascending slot order from first_slot; forbid(s, f,
+slot) turns the forbidden mask f of s into that of s plus the element at
+slot, and excluded(c, slot) bounds how much of c a sum-free set holding
+that element must leave out.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .groups import GroupSpec
+from .groups import GroupSpec, _rotate
 
 # Masks at least this wide are built and read through bytes:
 # per-bit big-int steps would cost O(width) each.  Narrower masks keep the
@@ -80,6 +87,18 @@ class IntervalUniverse:
         """Slot mask of (X - x) inside the interval."""
         return mask >> x
 
+    first_slot = 0  # the slot of lo
+
+    def forbid(self, s: int, f: int, slot: int) -> int:
+        """The forbidden mask once v (at slot, above s) joins s: every x + v,
+        x in s | {v}, is off limits, and only sums can hit a later candidate."""
+        return f | self.plus(s | 1 << slot, slot + self.lo)
+
+    def excluded(self, c: int, slot: int) -> int:
+        """Elements of c a sum-free subset holding v (at slot) leaves out: the
+        pairs a, a + v in c form paths, so ceil(E/2) for E pairs."""
+        return ((c & self.plus(c, slot + self.lo)).bit_count() + 1) // 2
+
     def describe(self) -> str:
         return f"interval[{self.lo},{self.hi}]"
 
@@ -125,6 +144,51 @@ class GroupUniverse:
     def minus(self, mask: int, x: int) -> int:
         """Index mask of X - x."""
         return self.group.translate(mask, self.group.neg_index(x))
+
+    first_slot = 1  # the identity is not a candidate
+
+    @cached_property
+    def _plans(self) -> list[tuple[int, tuple, Optional[tuple]]]:
+        """Per slot v: its halves and -v (above bit order), the rotations by
+        v and by -v; none by -v when v = -v, as then s' - v = s' + v."""
+        g = self.group
+        order, neg = g.order, g.negation
+        halves = [0] * order
+        for x in range(order):
+            halves[g.add_index(x, x)] |= 1 << x
+        steps = [g.translation_steps(v) for v in range(order)]
+        return [(halves[v] | 1 << (order + neg[v]), steps[v],
+                 steps[neg[v]] if neg[v] != v else None) for v in range(order)]
+
+    @cached_property
+    def forbid(self) -> Callable[[int, int, int], int]:
+        """forbid(s, f, slot): the forbidden mask once v (at slot) joins s.
+
+        With s' = s | {v}, that adds s' + v, s' - v, v - s' and the halves
+        of v: one translation by v of s' | -s' and one by -v of s'.  The
+        mask carries -s' above bit order, where the ground tests do not
+        look.  A closure over the tables rather than a method: the walks
+        call it once a node, where reading them off self costs a few
+        percent.
+        """
+        order, plans = self.group.order, self._plans
+
+        def forbid(s: int, f: int, slot: int) -> int:
+            own, plus, minus = plans[slot]
+            s2 = s | (1 << slot)
+            nf = f | own
+            nf |= _rotate(s2 | (nf >> order), plus)
+            return nf if minus is None else nf | _rotate(s2, minus)
+
+        return forbid
+
+    def excluded(self, c: int, slot: int) -> int:
+        """Elements of c a sum-free subset holding v (at slot) leaves out: the
+        pairs a, a + v in c form paths and cycles, ceil(E/2) for E pairs;
+        when v = -v each pair is counted from both ends."""
+        _, plus, minus = self._plans[slot]
+        e = (c & _rotate(c, plus)).bit_count()
+        return e // 2 if minus is None else (e + 1) // 2
 
     def describe(self) -> str:
         return "group[" + ",".join(str(m) for m in self.group.moduli) + "]"

@@ -1,8 +1,18 @@
+import contextlib
+import io
 import json
+import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumfree.cli import main
+from sumfree.enumeration import DEFAULT_GROUND_CAP
+from sumfree.groups import DEFAULT_MAX_ORDER
+from sumfree.universe import GroupUniverse
 
 
 def run(capsys, *argv):
@@ -104,6 +114,34 @@ def test_count_sub_interval_and_shards(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["f"] == 369 and data["shards"] == 4
+
+
+def test_count_rejects_empty_group_items(capsys):
+    for moduli in ("4,,2", "4,2,", ","):
+        code, out, err = run(capsys, "count", "--group", moduli)
+        assert code == 2 and out == "", moduli
+        assert f"--group {moduli!r} has an empty item" in err
+
+
+def test_shard_count_capped_before_any_walk(capsys, monkeypatch):
+    import sumfree.enumeration
+    from sumfree.enumeration import SHARD_CAP
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walker called although the shard count is refused")
+
+    for name in ("_walk", "_shard_root", "_interval_walk", "_interval_tally"):
+        monkeypatch.setattr(sumfree.enumeration, name, no_walk)
+    assert SHARD_CAP >= 64
+    for shards, argv in ((2 * SHARD_CAP, ["count", "--group", "5"]),
+                         (2 * SHARD_CAP, ["count", "--interval", "5", "--maximal"]),
+                         (1 << 30, ["sweep-intervals", "--n-max", "5"])):
+        code, out, err = run(capsys, *argv, "--shards", str(shards))
+        assert code == 3 and out == "", argv
+        assert f"shard_count {shards} refused, cap is {SHARD_CAP}" in err
+    # at the cap the count goes on to its walk
+    with pytest.raises(AssertionError, match="walker called"):
+        main(["count", "--group", "5", "--shards", str(SHARD_CAP)])
 
 
 def test_count_two_wise_flag(capsys):
@@ -229,8 +267,9 @@ def test_sweep_groups_cap_checked_before_the_first_row(capsys, monkeypatch):
     def no_walk(*args, **kwargs):
         raise AssertionError("walker called although the cap is exceeded")
 
-    for name in ("_engine_for", "_GroupEngine", "_walk"):
-        monkeypatch.setattr(sumfree.enumeration, name, no_walk)
+    # every group walk starts by reading its step off the universe
+    monkeypatch.setattr(GroupUniverse, "forbid", property(no_walk))
+    monkeypatch.setattr(sumfree.enumeration, "_walk", no_walk)
     for check, max_order, cap in (("mu", 65, 63), ("index2", 65, 63), ("lev", 42, 40),
                                   ("giudici2", DEFAULT_MAX_ORDER + 1, DEFAULT_MAX_ORDER - 1)):
         code, out, err = run(capsys, "sweep-groups", "--max-order", str(max_order),
@@ -297,3 +336,74 @@ def test_out_file(tmp_path, capsys):
                        "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text().startswith("n,f,log2_f")
+
+
+# every command ends with an exit code of 0-3, whatever its arguments: the
+# strategies keep valid universes small (ground <= 20), so each example is fast
+_BAD_MODULI = st.sampled_from(["", " ", "0", "1", "-4", "x", "2.5", "0x10", "+"])
+_SMALL_GROUPS = st.lists(st.integers(2, 7), min_size=1, max_size=3).filter(
+    lambda moduli: math.prod(moduli) <= 21)
+_LARGE_GROUPS = st.lists(st.integers(2, 1 << 21), min_size=1, max_size=3).filter(
+    lambda moduli: math.prod(moduli) > DEFAULT_GROUND_CAP + 1)
+_GROUP_ARGS = st.one_of(
+    st.one_of(_SMALL_GROUPS, _LARGE_GROUPS).map(lambda moduli: ",".join(map(str, moduli))),
+    st.tuples(st.lists(st.integers(2, 9).map(str), max_size=3), _BAD_MODULI, st.integers(0, 3))
+    .map(lambda t: ",".join(t[0][:t[2]] + [t[1]] + t[0][t[2]:])),  # one bad item
+)
+_SIZES = st.one_of(st.integers(-3, 20), st.integers(DEFAULT_MAX_ORDER + 1, 10 ** 9))
+_UNIVERSE_ARGS = st.one_of(
+    _GROUP_ARGS.map(lambda g: ["--group", g]),
+    _SIZES.map(lambda n: ["--interval", str(n)]),
+    st.tuples(st.integers(-2, 12), st.integers(-2, 20)).map(
+        lambda t: ["--interval-lo", str(t[0]), "--interval-hi", str(t[1])]),
+    st.tuples(_SIZES, _GROUP_ARGS).map(lambda t: ["--interval", str(t[0]), "--group", t[1]]),
+    st.just([]),
+)
+_SHARD_ARGS = st.one_of(
+    st.just([]),
+    st.sampled_from([1, 2, 8, 64, -1, 0, 3, 6, 1 << 13, 1 << 30, 1 << 62]).map(
+        lambda n: ["--shards", str(n)]),
+    st.just(["--shards", "many"]),
+)
+_FLAGS = st.lists(st.sampled_from(["--maximal", "--by-cardinality", "--2wise"]), unique=True)
+_SET_FILES = st.one_of(
+    st.lists(st.integers(-3, 25), max_size=6).map(json.dumps),
+    st.sampled_from(["[true, 2]", "[1, 4", "{}", "[1.5]", "7", ""]),
+)
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(["count", "sweep-intervals", "sweep-groups", "verify",
+                                    "random"]))
+    if command == "count":
+        return ["count", *draw(_UNIVERSE_ARGS), *draw(_FLAGS), *draw(_SHARD_ARGS)]
+    if command == "sweep-intervals":
+        return ["sweep-intervals", "--n-max", str(draw(_SIZES)), *draw(_SHARD_ARGS)]
+    if command == "sweep-groups":
+        order = draw(st.one_of(st.integers(-2, 16), st.integers(DEFAULT_MAX_ORDER + 1, 10 ** 9)))
+        check = draw(st.sampled_from(["mu", "index2", "lev", "giudici1", "giudici2", "none"]))
+        return ["sweep-groups", "--max-order", str(order), "--check", check]
+    if command == "verify":
+        return ["verify", *draw(_UNIVERSE_ARGS), "--set", draw(_SET_FILES)]
+    numbers = st.integers(-2, 25)
+    return ["random", "--seed-element", str(draw(numbers)), "--target", str(draw(numbers)),
+            "--range", str(draw(_SIZES)), "--seed", str(draw(numbers)),
+            "--max-iterations", str(draw(st.integers(-2, 500)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cli_argv())
+def test_every_command_exits_with_a_documented_code(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] == "verify":  # the drawn text becomes the set file
+            path = os.path.join(tmp, "set.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(argv[-1])
+            argv[-1] = path
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+    assert code in (0, 1, 2, 3), argv

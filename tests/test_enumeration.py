@@ -5,8 +5,6 @@ import pytest
 from oracles import group_count_oracle, sum_free_table, two_wise_count_oracle
 from sumfree.enumeration import (
     DEFAULT_GROUND_CAP,
-    _GroupEngine,
-    _IntervalEngine,
     _tally,
     build_count_record,
     count_by_cardinality,
@@ -19,6 +17,7 @@ from sumfree.enumeration import (
     enumerate_maximum,
     enumerate_naive,
     enumerate_sum_free,
+    maximal_sets_of_size,
 )
 from sumfree.errors import CapacityError
 from sumfree.groups import abelian_groups_of_order, index2_subgroups, make_group
@@ -174,41 +173,72 @@ def _translation_pairs(u, c, x):
     return sum(a + x in members for a in members)
 
 
-def _engines(max_order):
+def _universes(max_order):
     for order in range(2, max_order + 1):
         for g in abelian_groups_of_order(order):
-            yield GroupUniverse(g), _GroupEngine(g)
+            yield GroupUniverse(g)
     for lo, hi in ((1, 12), (3, 14)):
-        yield IntervalUniverse(lo, hi), _IntervalEngine(lo, hi)
+        yield IntervalUniverse(lo, hi)
+
+
+def test_forbid_marks_exactly_the_candidates_that_break_sum_freeness():
+    # s grows by forbid steps from the empty set, in any order in a group and
+    # ascending in an interval, as the walks take them; then a candidate x
+    # (in an interval, above max s) is in f exactly when s | {x} is not sum-free
+    rng = random.Random(13)
+    for u in _universes(16):
+        slots = range(u.first_slot, u.first_slot + u.ground_size)
+        for _ in range(8):
+            s = f = 0
+            while True:
+                top = s.bit_length() if isinstance(u, IntervalUniverse) else 0
+                candidates = [x for x in slots if x >= top and not s >> x & 1]
+                for x in candidates:
+                    blocked = not is_sum_free(u, ElemSet(u, s | 1 << x))
+                    assert bool(f >> x & 1) == blocked, (u.describe(), s, x)
+                free = [x for x in candidates if not f >> x & 1]
+                if not free:
+                    break
+                slot = rng.choice(free)
+                s, f = s | 1 << slot, u.forbid(s, f, slot)
 
 
 def test_matching_bound_counts_translation_pairs():
     # E pairs a, a + x in C leave ceil(E/2) elements of C out, or E/2
     # when 2x = 0 and each pair is counted from both ends
     rng = random.Random(7)
-    for u, engine in _engines(16):
-        for slot in range(engine.first_slot, engine.first_slot + engine.ground_count):
+    for u in _universes(16):
+        for slot in range(u.first_slot, u.first_slot + u.ground_size):
             x = u.value_of(slot)
             involution = isinstance(u, GroupUniverse) and u.group.add_index(x, x) == 0
             for _ in range(6):
-                c = rng.getrandbits(engine.ground_count) << engine.first_slot | 1 << slot
+                c = rng.getrandbits(u.ground_size) << u.first_slot | 1 << slot
                 e = _translation_pairs(u, c, x)
-                assert engine.excluded(c, slot) == (e // 2 if involution else (e + 1) // 2)
+                assert u.excluded(c, slot) == (e // 2 if involution else (e + 1) // 2)
 
 
 def test_matching_bound_never_cuts_a_sum_free_set():
     # every sum-free A with s <= A <= C has |A| <= |C| - excluded(C, x), x in s
     rng = random.Random(11)
-    for u, engine in _engines(10):
+    for u in _universes(10):
         family = []
         enumerate_sum_free(u, family.append)
         for s in rng.sample(family, min(len(family), 12)):
             for _ in range(4):
-                c = s.mask | rng.getrandbits(engine.ground_count) << engine.first_slot
+                c = s.mask | rng.getrandbits(u.ground_size) << u.first_slot
                 best = max(a.cardinality for a in family if a.mask & ~c == 0
                            and a.mask & s.mask == s.mask)
                 for x in s.members():
-                    assert c.bit_count() - engine.excluded(c, u.slot_of(x)) >= best
+                    assert c.bit_count() - u.excluded(c, u.slot_of(x)) >= best
+
+
+def test_maximal_sets_of_size_refuses_intervals():
+    # an interval's forbidden mask holds only the sums above s, not the
+    # differences and halves the maximality test reads
+    with pytest.raises(TypeError, match="needs a group universe"):
+        maximal_sets_of_size(IntervalUniverse(1, 5), 2)
+    got = [s.members() for s in maximal_sets_of_size(GroupUniverse(make_group([5])), 2)]
+    assert got == [(1, 4), (2, 3)]
 
 
 def test_enumerate_maximal_examples():

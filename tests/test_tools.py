@@ -4,16 +4,32 @@ from pathlib import Path
 DUMP = Path(__file__).resolve().parent.parent / "tools" / "offline_dump.py"
 
 
+def _fields(line):
+    return dict(field.split("=", 1) for field in line.split()[1:])
+
+
 def test_offline_dump_lines():
     spec = importlib.util.spec_from_file_location("offline_dump", DUMP)
     dump = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(dump)
-    out = list(dump.dump_lines(count_order=6, maximum_order=8))
-    assert [line.split()[0] for line in out] == [
+    out = list(dump.dump_lines(count_order=6, maximum_order=8, window_hi=4, prefix_hi=6))
+    groups, windows = out[:10], out[10:]
+    assert [line.split()[0] for line in groups] == [
         "2", "3", "4", "2x2", "5", "2x3", "7", "8", "4x2", "2x2x2"]
-    assert out[0] == "2 f=2 f_max=1 hist=0:1;1:1 maximum=[[1]]"
-    assert out[3] == "2x2 f=7 f_max=3 hist=0:1;1:3;2:3 maximum=[[1,2],[1,3],[2,3]]"
-    assert out[7] == "8 maximum=[[1,3,5,7]]"  # past count_order: no counts
-    for line in out[:6]:  # the histogram sums to the count
-        fields = dict(field.split("=", 1) for field in line.split()[1:])
+    assert groups[0] == "2 f=2 f_max=1 hist=0:1;1:1 maximum=[[1]]"
+    assert groups[3] == "2x2 f=7 f_max=3 hist=0:1;1:3;2:3 maximum=[[1,2],[1,3],[2,3]]"
+    assert groups[7] == "8 maximum=[[1,3,5,7]]"  # past count_order: no counts
+    # every [lo, hi] with hi <= 4, then [1, 5] and [1, 6]
+    assert [line.split()[0] for line in windows] == [
+        "[1,1]", "[1,2]", "[2,2]", "[1,3]", "[2,3]", "[3,3]",
+        "[1,4]", "[2,4]", "[3,4]", "[4,4]", "[1,5]", "[1,6]"]
+    assert windows[3] == "[1,3] f=6 f_max=2 hist=0:1;1:3;2:2 by_largest=1;1;1;3 " \
+                         "maximum=[[1,3],[2,3]]"
+    for line in groups[:6] + windows:  # the histogram sums to the count
+        fields = _fields(line)
         assert sum(int(c.split(":")[1]) for c in fields["hist"].split(";")) == int(fields["f"])
+    # the prefix sums of [1, 6]'s counts by largest element are the counts of [1, n]
+    prefixes = {line.split()[0]: int(_fields(line)["f"]) for line in windows}
+    by_largest = [int(c) for c in _fields(windows[-1])["by_largest"].split(";")]
+    assert [sum(by_largest[:n + 1]) for n in range(1, 7)] == [
+        prefixes[f"[1,{n}]"] for n in range(1, 7)]

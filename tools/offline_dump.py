@@ -1,4 +1,4 @@
-"""Dump the exact group results of the src/ next to this script, one line per group.
+"""Dump the exact results of the src/ next to this script, one line per universe.
 
     python3 tools/offline_dump.py > dump.txt
 
@@ -6,7 +6,11 @@ For every abelian group of order 2-64 (in the order of
 abelian_groups_of_order), one line: the moduli, then, up to order 41, the
 count, the maximal count and the cardinality histogram (one fused
 build_count_record), then the list of maximum sum-free sets
-(enumerate_maximum, element indices).  Only the standard library is used.
+(enumerate_maximum, element indices).  Then one line per interval window,
+every [lo, hi] with hi <= 24 and [1, n] for 25 <= n <= 33: the window,
+the same count, maximal count and histogram, the counts by largest
+element (count_by_largest) and the maximum sets (values).  Only the
+standard library is used.
 
 To compare two commits, extract each with `git archive REV | tar -x -C DIR`,
 run `python3 DIR/tools/offline_dump.py > REV.txt` on each and diff the
@@ -21,25 +25,45 @@ from typing import Iterator
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sumfree.enumeration import build_count_record, enumerate_maximum  # noqa: E402
+from sumfree.enumeration import (  # noqa: E402
+    build_count_record,
+    count_by_largest,
+    enumerate_maximum,
+)
 from sumfree.groups import abelian_groups_of_order  # noqa: E402
-from sumfree.universe import GroupUniverse  # noqa: E402
+from sumfree.universe import GroupUniverse, IntervalUniverse, Universe  # noqa: E402
 
 
-def dump_lines(count_order: int = 41, maximum_order: int = 64) -> Iterator[str]:
-    """The dump's lines: counts up to count_order, maximum sets up to maximum_order."""
+def _counts(u: Universe) -> list[str]:
+    rec = build_count_record(u, with_maximal=True, with_cardinality=True)
+    hist = ";".join(f"{m}:{c}" for m, c in rec.by_cardinality.items())
+    return [f"f={rec.f}", f"f_max={rec.f_max}", f"hist={hist}"]
+
+
+def _maximum(u: Universe) -> str:
+    maximum = [s.to_json_list() for s in enumerate_maximum(u)]
+    return "maximum=" + json.dumps(maximum, separators=(",", ":"))
+
+
+def dump_lines(count_order: int = 41, maximum_order: int = 64,
+               window_hi: int = 24, prefix_hi: int = 33) -> Iterator[str]:
+    """The dump's lines: group counts up to count_order, group maximum sets up
+    to maximum_order, then the windows [lo, hi], hi <= window_hi, and [1, n],
+    window_hi < n <= prefix_hi."""
     for n in range(2, max(count_order, maximum_order) + 1):
         for g in abelian_groups_of_order(n):
             u = GroupUniverse(g)
             fields = ["x".join(map(str, g.moduli))]
             if n <= count_order:
-                rec = build_count_record(u, with_maximal=True, with_cardinality=True)
-                hist = ";".join(f"{m}:{c}" for m, c in rec.by_cardinality.items())
-                fields += [f"f={rec.f}", f"f_max={rec.f_max}", f"hist={hist}"]
+                fields += _counts(u)
             if n <= maximum_order:
-                maximum = [s.to_json_list() for s in enumerate_maximum(u)]
-                fields.append("maximum=" + json.dumps(maximum, separators=(",", ":")))
+                fields.append(_maximum(u))
             yield " ".join(fields)
+    windows = [(lo, hi) for hi in range(1, window_hi + 1) for lo in range(1, hi + 1)]
+    for lo, hi in windows + [(1, n) for n in range(window_hi + 1, prefix_hi + 1)]:
+        u = IntervalUniverse(lo, hi)
+        by_largest = ";".join(map(str, count_by_largest(u)))
+        yield " ".join([f"[{lo},{hi}]", *_counts(u), f"by_largest={by_largest}", _maximum(u)])
 
 
 if __name__ == "__main__":
