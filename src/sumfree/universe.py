@@ -18,11 +18,11 @@ Interval sums that overflow the window are simply outside every subset,
 never an error.
 
 Each universe is also the one home of its mask arithmetic: plus and minus
-for the predicates, and the step of every walk in enumeration.py.  A walk
-takes candidates in ascending slot order from first_slot; forbid(s, f,
-slot) turns the forbidden mask f of s into that of s plus the element at
-slot, and excluded(c, slot) bounds how much of c a sum-free set holding
-that element must leave out.
+for the predicates, and the step of every walk in enumeration.py.  Walks
+take candidates from slot first_slot on; forbid(s, f, slot) turns the
+forbidden mask f of s into that of s plus the element at slot (for an
+interval, a slot above s), and excluded(c, slot) bounds how much of c a
+sum-free set holding that element must leave out.
 """
 
 from dataclasses import dataclass

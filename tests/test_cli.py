@@ -262,7 +262,6 @@ def test_sweep_groups_index2_na(capsys):
 
 def test_sweep_groups_cap_checked_before_the_first_row(capsys, monkeypatch):
     import sumfree.enumeration
-    from sumfree.groups import DEFAULT_MAX_ORDER
 
     def no_walk(*args, **kwargs):
         raise AssertionError("walker called although the cap is exceeded")
