@@ -188,10 +188,9 @@ def cmd_count(args) -> int:
 
 
 def interval_sweep_rows(n_max: int, shard_count: int) -> list[dict]:
-    if n_max < 1:
-        return []
-    # one walk of [1, n_max]: f(n) counts the sets whose largest element is <= n
-    by_top = count_by_largest(IntervalUniverse(1, n_max), shard_count)
+    # one walk of [1, n_max]: f(n) counts the sets whose largest element is <= n;
+    # at least [1, 1], so that the shard count is checked whatever n_max
+    by_top = count_by_largest(IntervalUniverse(1, max(n_max, 1)), shard_count)
     rows = []
     f = by_top[0]
     for n in range(1, n_max + 1):

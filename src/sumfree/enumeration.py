@@ -26,19 +26,19 @@ x with x + v <= hi and forbid the same slots from v on have the same
 extensions above slot v, so the count is a forward transfer: each layer
 maps that state to its number of sets, and a state with no such member
 once 2v > hi counts the subsets of its free candidates at once.  It runs
-from each of at least 8 shard roots, keeping the layers small.  The
-maximal count and the histogram need all of s: their walk counts a free
-tail (the candidates c with c + min(s | {c}) > hi) in one step.  Group
-counts (with the maximal count and the histogram) use the symmetry
-instead, two levels deep.  The sets that meet an orbit of a group of
-automorphisms (GroupSpec.orbits) but no earlier orbit are found from
-one element r of it, and a set with m members in the orbit stands for
-|orbit| / m sets.  The stabiliser of r splits the candidates of {r}
-into orbits in turn (GroupSpec.stabiliser_orbits): one walk per orbit Q
-of two or more candidates, rooted at r and one element of Q, weights
-its sets by |Q| / m2 as well, and one walk from {r} takes the rest.  The
-listings (enumerate_sum_free, enumerate_maximal), the group shards,
-enumerate_maximum (pruned by a translation-matching bound) and
+from each of at least 8 shard roots, keeping the layers small.  Counting
+a set as x^|s|, x a large power of two, packs the histogram into the
+same transfer.  The maximal count walks only the sets that can still
+become maximal.  Group counts (with the maximal count and the histogram)
+use the symmetry instead, two levels deep.  The sets that meet an orbit
+of a group of automorphisms (GroupSpec.orbits) but no earlier orbit are
+found from one element r of it, and a set with m members in the orbit
+stands for |orbit| / m sets.  The stabiliser of r splits the candidates
+of {r} into orbits in turn (GroupSpec.stabiliser_orbits): one walk per
+orbit Q of two or more candidates, rooted at r and one element of Q,
+weights its sets by |Q| / m2 as well, and one walk from {r} takes the
+rest.  The listings (enumerate_sum_free, enumerate_maximal), the group
+shards, enumerate_maximum (pruned by a translation-matching bound) and
 maximal_sets_of_size (cut at a depth) walk from the empty set.  No walk
 builds a mask for a leaf unless it needs one.
 
@@ -50,7 +50,6 @@ for any power-of-two shard count.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from typing import Callable, Optional
 
 from .universe import (
@@ -102,13 +101,18 @@ def _walk(forbid: Callable[[int, int, int], int],
     return total
 
 
-def _interval_walk(u: IntervalUniverse, shard_index: int, shard_count: int) -> list[int]:
+def _interval_walk(u: IntervalUniverse, shard_index: int, shard_count: int,
+                   width: int = 0) -> list[int]:
     """One shard's sum-free sets of an interval, entry i: largest slot i - 1.
 
     The shard joins the sub-shards shard_index (mod shard_count) of
     max(shard_count, 8), each carried on from its root.  Before slot t a
     layer maps keys to set counts; a key holds the forbidden slots from bit
     t and, below it, the members x with x + t + lo <= hi (at a root, all).
+    Each count is the sum of x^|s| over its sets at x = 2^width: with
+    width 0 the number of sets, with a wide enough width their packed
+    cardinality histogram.  A join multiplies by x, and the i-th smallest
+    candidate of a free tail tops x(1 + x)^(i - 1) of its subsets.
     """
     lo, hi, window, size = u.lo, u.hi, u.ground_mask, u.ground_size
     by_top = [0] * (size + 1)
@@ -119,8 +123,9 @@ def _interval_walk(u: IntervalUniverse, shard_index: int, shard_count: int) -> l
         if root is None:
             continue
         s, f, first = root
-        by_top[s.bit_length()] += 1
-        layer = {s | f & -(1 << first): 1}
+        n = 1 << width * s.bit_count()
+        by_top[s.bit_length()] += n
+        layer = {s | f & -(1 << first): n}
         for t in range(first, size):
             v, bit, new, joined = t + lo, 1 << t, {}, 0
             # the next key: members x with x + v < hi, forbidden slots above t
@@ -135,93 +140,84 @@ def _interval_walk(u: IntervalUniverse, shard_index: int, shard_count: int) -> l
                 k = key & out
                 new[k] = new.get(k, 0) + n
                 if not key & bit:
+                    n <<= width
                     k = (key | bit | ((key & low | bit) << v) & window) & mask
                     new[k] = new.get(k, 0) + n
                     joined += n
             by_top[t + 1] += joined
             layer = new
     for free, n in tails.items():
-        while free:  # 2^i of the subsets have the i-th smallest candidate on top
+        n <<= width
+        while free:  # the i-th smallest candidate tops x(1 + x)^(i - 1) subsets
             b = free & -free
             free ^= b
             by_top[b.bit_length()] += n
-            n <<= 1
+            n += n << width
     return by_top
 
 
-def _interval_tally(u: IntervalUniverse,
-                    found: Optional[list[int]]) -> tuple[int, int, list[int]]:
-    """Count, maximal count and cardinality histogram of an interval, one walk.
+def _interval_maximal(u: IntervalUniverse, found: Optional[list[int]]) -> int:
+    """Count the maximal sum-free sets of an interval, listing them into
+    found (if given), ascending lexicographic.
 
-    The mask m holds the sums, the differences and the halves of s, so
-    "no element can join s" is ground & ~s & ~m == 0.  Above the largest
-    member only sums occur, so m also gives the candidates.  r holds bit
-    hi - x for each member x: shifted right by hi + lo - v it gives the
-    new differences v - x.  Of a node and its free-tail sets only
-    s | tail can be maximal, since any tail candidate can join the others.
+    Members join in ascending order, so a candidate v left out stays
+    pending until a later member b has b - v in s, or b = 2v (r holds bit
+    hi - x per member x: shifted right by hi + lo - b, the slots of b - x).
+    A node is dropped when a pending v has no candidate b with b - v in s
+    or a candidate, nor 2v a candidate; with no candidates left, s is
+    maximal when nothing is pending.
     """
     lo, hi, window = u.lo, u.hi, u.ground_mask
-    width = u.ground_size + 1
-    pairs = [0] * (width * width)  # [node cardinality * width + tail size]
-    f_max = 0
+    count = 0
 
-    def add_diffs(m: int, r: int, v: int) -> int:
-        m |= r >> (hi + lo - v)
-        if not v & 1 and v >= 2 * lo:
-            m |= 1 << (v // 2 - lo)
-        return m
-
-    def rec(s: int, m: int, r: int, min_slot: int, head_mask: int, card: int) -> int:
-        nonlocal f_max
-        avail = window & ~m & (-1 << min_slot)
-        head = avail & head_mask
-        tail = avail ^ head
-        pairs[card * width + tail.bit_count()] += 1
-        if tail or not head:
-            t, mt, rt = tail, m, r
-            while t:  # tail sums leave the window, so only differences and halves
-                b = t & -t
-                t ^= b
-                v = b.bit_length() - 1 + lo
-                mt = add_diffs(mt, rt, v)
-                rt |= 1 << (hi - v)
-            if not window & ~(s | tail | mt):
-                f_max += 1
-                if found is not None:
-                    found.append(s | tail)
-        total = 1 << tail.bit_count()
-        while head:
-            b = head & -head
-            head ^= b
-            slot = b.bit_length() - 1
-            v = slot + lo
+    def rec(s: int, m: int, r: int, avail: int, pending: int) -> None:
+        nonlocal count
+        pot, p = s | avail, pending
+        while p:
+            b = p & -p
+            p ^= b
+            v = b.bit_length() - 1 + lo
+            if not avail & pot << v and not avail >> (2 * v - lo) & 1:
+                return
+        skipped = 0
+        while avail:
+            b = avail & -avail
+            avail ^= b
+            v = b.bit_length() - 1 + lo
             s2 = s | b
-            total += rec(s2, add_diffs(m | ((s2 << v) & window), r, v),
-                         r | (1 << (hi - v)), slot + 1,
-                         head_mask if s else (1 << (hi - v - lo + 1)) - 1, card + 1)
-        return total
+            m2 = m | (s2 << v) & window
+            p = (pending | skipped) & ~(r >> (hi + lo - v))
+            if not v & 1 and v >= 2 * lo:
+                p &= ~(1 << (v // 2 - lo))
+            if avail & ~m2:
+                rec(s2, m2, r | 1 << (hi - v), avail & ~m2, p)
+            elif not p:
+                count += 1
+                if found is not None:
+                    found.append(s2)
+            # the later children leave v out: stop once no later member can cover it
+            if not avail & (s | avail) << v and not avail >> (2 * v - lo) & 1:
+                break
+            skipped |= b
 
-    # head: slots c with c + min(s | {c}) <= hi, the rest is the free tail
-    f = rec(0, 0, 0, 0, (1 << max(hi // 2 - lo + 1, 0)) - 1, 0)
-    hist = [0] * width
-    for i, n in enumerate(pairs):
-        if n:
-            card, k = divmod(i, width)
-            for j in range(k + 1):
-                hist[card + j] += n * comb(k, j)
-    return f, f_max, hist
+    rec(0, 0, 0, window, 0)
+    return count
 
 
 def _tally(u: Universe, cap: int,
            found: Optional[list[int]] = None) -> tuple[int, int, dict[int, int]]:
-    """(count, maximal count, {cardinality: count}) from one walk.
+    """(count, maximal count, {cardinality: count}).
 
     found, if given, collects the masks of the maximal sets; a group
     universe then gets the plain walk, which visits every set.
     """
     _require_ground(u, cap)
     if isinstance(u, IntervalUniverse):
-        f, f_max, hist = _interval_tally(u, found)
+        # no cardinality count reaches 2^(ground + 1)
+        width = u.ground_size + 2
+        packed = sum(_interval_walk(u, 0, 1, width))
+        hist = [packed >> width * k & (1 << width) - 1 for k in range(u.ground_size + 1)]
+        f, f_max = sum(hist), _interval_maximal(u, found)
     elif found is None:
         tally = _orbit_tally(u, True)
         hist = [tally[2 * k] + tally[2 * k + 1] for k in range(u.group.order)]
@@ -494,7 +490,7 @@ def enumerate_maximum(u: Universe, cap: int = MAXIMUM_CAP) -> list[ElemSet]:
 
 
 def enumerate_maximal(u: Universe, cap: int = DEFAULT_GROUND_CAP) -> list[ElemSet]:
-    """All maximal sum-free sets: those rejecting every one-element extension."""
+    """All maximal sum-free sets (no one-element extension), ascending lexicographic."""
     found: list[int] = []
     _tally(u, cap, found)
     return [ElemSet(u, mask) for mask in found]
@@ -598,8 +594,8 @@ def build_count_record(u: Universe, with_maximal: bool = False,
                        cap: int = DEFAULT_GROUND_CAP) -> CountRecord:
     """Assemble a CountRecord for one universe, sharding the base count.
 
-    The maximal count and the histogram come from one walk, which also
-    gives the count unless it is sharded.
+    The maximal count and the histogram come with the count unless it is
+    sharded.
     """
     _check_shard_count(shard_count)
     f_two_wise = None

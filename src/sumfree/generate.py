@@ -29,9 +29,9 @@ class RandomGenConfig:
     """Parameters of the randomized nested generator.
 
     seed_element starts the chain (the output always contains it),
-    target_cardinality stops it, candidates are drawn uniformly from
-    [1, sample_hi], and max_iterations bounds the number of loop passes
-    before giving up with GenerationTimeout.
+    target_cardinality (at most ceil(sample_hi / 2)) stops it, candidates
+    are drawn uniformly from [1, sample_hi], and max_iterations bounds the
+    number of loop passes before giving up with GenerationTimeout.
     """
 
     seed_element: int
@@ -47,6 +47,10 @@ class RandomGenConfig:
             raise ValueError(
                 f"seed element {self.seed_element} outside [1, {self.sample_hi}]"
             )
+        top = (self.sample_hi + 1) // 2  # the odds of [1, sample_hi], a largest sum-free set
+        if self.target_cardinality > top:
+            raise ValueError(f"target {self.target_cardinality} is out of reach: sum-free "
+                             f"subsets of [1, {self.sample_hi}] have at most {top} members")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 

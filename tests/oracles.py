@@ -90,3 +90,33 @@ def group_count_oracle(moduli: tuple[int, ...]) -> tuple[int, int, dict[int, int
     for s in family:
         histogram[len(s)] = histogram.get(len(s), 0) + 1
     return len(family), sum(1 for s in family if s not in extended), histogram
+
+
+def interval_tally_oracle(lo: int, hi: int) -> tuple[int, int, dict[int, int], list[tuple]]:
+    """(count, maximal count, {cardinality: count}, the maximal sets) of the
+    sum-free subsets of [lo, hi], from tuples and Python sets of values.
+
+    Grows each set by values above its largest member, smallest first, so
+    the maximal sets come ascending lexicographic.  A set carries its sums
+    a + b and the values that cannot join it: its members, sums, positive
+    differences b - a and halves.  x joins s iff x is no sum; s is maximal
+    iff no value of [lo, hi] can join it.
+    """
+    count, histogram, maximal = 0, {}, []
+    window = frozenset(range(lo, hi + 1))
+    stack = [((), frozenset(), frozenset())]  # (members, sums, values that cannot join)
+    while stack:
+        s, sums, blocked = stack.pop()
+        count += 1
+        histogram[len(s)] = histogram.get(len(s), 0) + 1
+        if blocked >= window:
+            maximal.append(s)
+        # pushed largest first, so that the smallest extension is popped first
+        for x in range(hi, s[-1] if s else lo - 1, -1):
+            if x not in sums:
+                t = s + (x,)
+                new_sums = {x + a for a in t}
+                halves = {x // 2} if x % 2 == 0 else set()
+                stack.append((t, sums | new_sums,
+                              blocked | {x} | new_sums | {x - a for a in s} | halves))
+    return count, len(maximal), dict(sorted(histogram.items())), maximal

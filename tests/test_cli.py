@@ -130,7 +130,7 @@ def test_shard_count_capped_before_any_walk(capsys, monkeypatch):
     def no_walk(*args, **kwargs):
         raise AssertionError("walker called although the shard count is refused")
 
-    for name in ("_walk", "_shard_root", "_interval_walk", "_interval_tally"):
+    for name in ("_walk", "_shard_root", "_interval_walk", "_interval_maximal"):
         monkeypatch.setattr(sumfree.enumeration, name, no_walk)
     assert SHARD_CAP >= 64
     for shards, argv in ((2 * SHARD_CAP, ["count", "--group", "5"]),
@@ -139,9 +139,16 @@ def test_shard_count_capped_before_any_walk(capsys, monkeypatch):
         code, out, err = run(capsys, *argv, "--shards", str(shards))
         assert code == 3 and out == "", argv
         assert f"shard_count {shards} refused, cap is {SHARD_CAP}" in err
+    # a sweep with no rows still checks its shard count
+    for shards, code in ((3, 2), (1 << 30, 3)):
+        got = run(capsys, "sweep-intervals", "--n-max", "0", "--shards", str(shards))
+        assert got[:2] == (code, ""), shards
     # at the cap the count goes on to its walk
     with pytest.raises(AssertionError, match="walker called"):
         main(["count", "--group", "5", "--shards", str(SHARD_CAP)])
+    monkeypatch.undo()  # without --shards, a sweep with no rows prints its header
+    code, out, _ = run(capsys, "sweep-intervals", "--n-max", "0")
+    assert code == 0 and out == "n,f,log2_f,half_n,ratio,parity\n"
 
 
 def test_count_two_wise_flag(capsys):
@@ -158,7 +165,7 @@ def test_count_two_wise_checked_before_any_walk(capsys, monkeypatch):
         raise AssertionError("walker called although two-wise counting is refused")
 
     # count_two_wise itself checks n against its cap before it walks
-    for name in ("_walk", "_interval_walk", "_interval_tally"):
+    for name in ("_walk", "_interval_walk", "_interval_maximal"):
         monkeypatch.setattr(sumfree.enumeration, name, no_walk)
     for universe in (["--group", "37"], ["--interval-lo", "2", "--interval-hi", "33"]):
         code, out, err = run(capsys, "count", *universe, "--2wise")
@@ -187,7 +194,7 @@ def test_sweep_intervals_cap_checked_before_any_walk(capsys, monkeypatch):
         raise AssertionError("walker called although the cap is exceeded")
 
     monkeypatch.setattr(sumfree.enumeration, "_interval_walk", no_walk)
-    monkeypatch.setattr(sumfree.enumeration, "_interval_tally", no_walk)
+    monkeypatch.setattr(sumfree.enumeration, "_interval_maximal", no_walk)
     monkeypatch.setattr(sumfree.enumeration, "_walk", no_walk)
     code, out, err = run(capsys, "sweep-intervals", "--n-max", "41")
     assert code == 3 and out == ""
@@ -323,10 +330,25 @@ def test_random_command_deterministic(capsys):
 
 
 def test_random_timeout_exit_code(capsys):
-    code, _, err = run(capsys, "random", "--seed-element", "1", "--target", "3",
-                       "--range", "3", "--max-iterations", "20")
+    # the sum-free triples of [1, 5] are {1, 3, 5} and {3, 4, 5}: none holds 2
+    code, _, err = run(capsys, "random", "--seed-element", "2", "--target", "3",
+                       "--range", "5", "--max-iterations", "20")
     assert code == 3
     assert "timeout" in err
+
+
+def test_random_target_checked_before_any_draw(capsys, monkeypatch):
+    import sumfree.cli
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("generator called although the target is out of reach")
+
+    monkeypatch.setattr(sumfree.cli, "random_sum_free", no_draw)
+    # the largest sum-free subsets of [1, 10] have 5 members
+    code, out, err = run(capsys, "random", "--seed-element", "1", "--target", "6",
+                         "--range", "10", "--max-iterations", str(10 ** 12))
+    assert code == 2 and out == ""
+    assert "target 6 is out of reach" in err and "at most 5 members" in err
 
 
 def test_out_file(tmp_path, capsys):

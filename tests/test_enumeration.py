@@ -2,10 +2,16 @@ import random
 
 import pytest
 
-from oracles import group_count_oracle, sum_free_table, two_wise_count_oracle
+from oracles import (
+    group_count_oracle,
+    interval_tally_oracle,
+    sum_free_table,
+    two_wise_count_oracle,
+)
 from sumfree.enumeration import (
     DEFAULT_GROUND_CAP,
     _tally,
+    _walk,
     build_count_record,
     count_by_cardinality,
     count_by_largest,
@@ -378,22 +384,38 @@ def test_single_pass_sweep_prefix_counts():
         assert prefix[hi - 3] == count_sum_free(IntervalUniverse(4, hi)), hi
 
 
-def test_transfer_matches_fused_walk():
-    # the transfer (count_sum_free, count_by_largest) against the fused
-    # walk behind the maximal count, which visits sets one node at a time
-    def walked(u):
-        return build_count_record(u, with_maximal=True).f
+def test_transfer_matches_plain_walk():
+    # the transfer (count_sum_free, count_by_largest, the packed histogram)
+    # against _walk, which makes one node per set and shares nothing with it;
+    # the sets of [1, n] are the sets of [1, 33] with largest element <= n
+    u = IntervalUniverse(1, 33)
+    tally = [[0] * 35 for _ in range(34)]  # [largest element][cardinality]
 
-    fused = {n: walked(IntervalUniverse(1, n)) for n in range(1, 31)}
-    for n, f in fused.items():
-        assert count_sum_free(IntervalUniverse(1, n)) == f, n
-    assert count_sum_free(IntervalUniverse(1, 33)) == walked(IntervalUniverse(1, 33))
-    prefix = _prefix_counts(count_by_largest(IntervalUniverse(1, 30)))
-    assert prefix[1:] == [fused[n] for n in range(1, 31)]
-    for hi in range(1, 21):
-        for lo in range(1, hi + 1):
-            u = IntervalUniverse(lo, hi)
-            assert count_sum_free(u) == walked(u), (lo, hi)
+    def visit(s, _):
+        tally[s.bit_length()][s.bit_count()] += 1
+
+    _walk(u.forbid, visit, u.ground_mask, 0, 0, 0)
+    assert count_by_largest(u) == [sum(row) for row in tally]
+    hist = [0] * 35
+    for n in range(34):
+        hist = [a + b for a, b in zip(hist, tally[n])]
+        if n:
+            assert count_sum_free(IntervalUniverse(1, n)) == sum(hist), n
+        if n in (20, 30, 33):
+            rec = build_count_record(IntervalUniverse(1, n), with_cardinality=True)
+            assert rec.by_cardinality == {k: c for k, c in enumerate(hist) if c}, n
+
+
+def test_interval_tally_matches_oracle():
+    windows = [(lo, hi) for hi in range(1, 21) for lo in range(1, hi + 1)]
+    for lo, hi in windows + [(1, n) for n in range(21, 25)]:
+        u = IntervalUniverse(lo, hi)
+        f, f_max, hist, maximal = interval_tally_oracle(lo, hi)
+        rec = build_count_record(u, with_maximal=True, with_cardinality=True)
+        assert (rec.f, rec.f_max, rec.by_cardinality) == (f, f_max, hist), (lo, hi)
+        assert count_sum_free(u) == f, (lo, hi)
+        # the same sets in the same, ascending lexicographic, order
+        assert [s.members() for s in enumerate_maximal(u)] == maximal, (lo, hi)
 
 
 def test_sharded_sweep_matches_unsharded():

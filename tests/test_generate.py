@@ -22,6 +22,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RandomGenConfig(seed_element=1, target_cardinality=1, sample_hi=10,
                         max_iterations=0)
+    # the odds are a largest sum-free subset of [1, 10]
+    RandomGenConfig(seed_element=1, target_cardinality=5, sample_hi=10)
+    with pytest.raises(ValueError, match="target 6 is out of reach"):
+        RandomGenConfig(seed_element=1, target_cardinality=6, sample_hi=10)
 
 
 def test_random_sum_free_target_one_is_immediate():
@@ -73,8 +77,8 @@ def test_random_sum_free_matches_whole_set_reference():
 
 
 def test_random_sum_free_timeout():
-    # [1, 3] has no sum-free set of cardinality 3
-    cfg = RandomGenConfig(seed_element=1, target_cardinality=3, sample_hi=3,
+    # the sum-free triples of [1, 5] are {1, 3, 5} and {3, 4, 5}: none holds 2
+    cfg = RandomGenConfig(seed_element=2, target_cardinality=3, sample_hi=5,
                           max_iterations=200, rng_seed=0)
     with pytest.raises(GenerationTimeout) as err:
         random_sum_free(cfg)

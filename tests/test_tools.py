@@ -24,7 +24,9 @@ def test_offline_dump_lines():
         "[1,1]", "[1,2]", "[2,2]", "[1,3]", "[2,3]", "[3,3]",
         "[1,4]", "[2,4]", "[3,4]", "[4,4]", "[1,5]", "[1,6]"]
     assert windows[3] == "[1,3] f=6 f_max=2 hist=0:1;1:3;2:2 by_largest=1;1;1;3 " \
-                         "maximum=[[1,3],[2,3]]"
+                         "maximum=[[1,3],[2,3]] maximal=[[1,3],[2,3]]"
+    assert _fields(windows[6])["maximal"] == "[[1,3],[1,4],[2,3],[3,4]]"
+    assert "maximal" not in _fields(windows[-1])  # [1, 6] lies past window_hi
     for line in groups[:6] + windows:  # the histogram sums to the count
         fields = _fields(line)
         assert sum(int(c.split(":")[1]) for c in fields["hist"].split(";")) == int(fields["f"])

@@ -9,7 +9,8 @@ build_count_record), then the list of maximum sum-free sets
 (enumerate_maximum, element indices).  Then one line per interval window,
 every [lo, hi] with hi <= 24 and [1, n] for 25 <= n <= 33: the window,
 the same count, maximal count and histogram, the counts by largest
-element (count_by_largest) and the maximum sets (values).  Only the
+element (count_by_largest) and the maximum sets (values), then, for
+hi <= 24, the maximal sets (enumerate_maximal, sorted).  Only the
 standard library is used.
 
 To compare two commits, extract each with `git archive REV | tar -x -C DIR`,
@@ -28,10 +29,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from sumfree.enumeration import (  # noqa: E402
     build_count_record,
     count_by_largest,
+    enumerate_maximal,
     enumerate_maximum,
 )
 from sumfree.groups import abelian_groups_of_order  # noqa: E402
-from sumfree.universe import GroupUniverse, IntervalUniverse, Universe  # noqa: E402
+from sumfree.universe import ElemSet, GroupUniverse, IntervalUniverse, Universe  # noqa: E402
 
 
 def _counts(u: Universe) -> list[str]:
@@ -40,16 +42,19 @@ def _counts(u: Universe) -> list[str]:
     return [f"f={rec.f}", f"f_max={rec.f_max}", f"hist={hist}"]
 
 
+def _sets(name: str, sets: list) -> str:
+    return f"{name}=" + json.dumps([s.to_json_list() for s in sets], separators=(",", ":"))
+
+
 def _maximum(u: Universe) -> str:
-    maximum = [s.to_json_list() for s in enumerate_maximum(u)]
-    return "maximum=" + json.dumps(maximum, separators=(",", ":"))
+    return _sets("maximum", enumerate_maximum(u))
 
 
 def dump_lines(count_order: int = 41, maximum_order: int = 64,
                window_hi: int = 24, prefix_hi: int = 33) -> Iterator[str]:
     """The dump's lines: group counts up to count_order, group maximum sets up
     to maximum_order, then the windows [lo, hi], hi <= window_hi, and [1, n],
-    window_hi < n <= prefix_hi."""
+    window_hi < n <= prefix_hi; the windows list their maximal sets."""
     for n in range(2, max(count_order, maximum_order) + 1):
         for g in abelian_groups_of_order(n):
             u = GroupUniverse(g)
@@ -63,7 +68,10 @@ def dump_lines(count_order: int = 41, maximum_order: int = 64,
     for lo, hi in windows + [(1, n) for n in range(window_hi + 1, prefix_hi + 1)]:
         u = IntervalUniverse(lo, hi)
         by_largest = ";".join(map(str, count_by_largest(u)))
-        yield " ".join([f"[{lo},{hi}]", *_counts(u), f"by_largest={by_largest}", _maximum(u)])
+        fields = [f"[{lo},{hi}]", *_counts(u), f"by_largest={by_largest}", _maximum(u)]
+        if hi <= window_hi:
+            fields.append(_sets("maximal", sorted(enumerate_maximal(u), key=ElemSet.members)))
+        yield " ".join(fields)
 
 
 if __name__ == "__main__":
