@@ -11,13 +11,7 @@ from typing import Optional
 
 from .arith import divisors, is_prime, prime_factors
 from .construct import middle_third, outer_bands
-from .enumeration import (
-    DEFAULT_GROUND_CAP,
-    MAXIMUM_CAP,
-    count_sum_free,
-    enumerate_maximum,
-    maximal_sets_of_size,
-)
+from .enumeration import count_sum_free, enumerate_maximum, maximal_sets_of_size
 from .groups import Element, GroupSpec, abelian_groups_of_order, index2_subgroups
 from .universe import (
     ElemSet,
@@ -62,16 +56,16 @@ class DensityReport:
     agree: bool
 
 
-def density_report(g: GroupSpec, cap: int = MAXIMUM_CAP) -> DensityReport:
+def density_report(g: GroupSpec) -> DensityReport:
     """Measure the maximum sum-free density by exhaustive search."""
-    maxima = enumerate_maximum(GroupUniverse(g), cap)
+    maxima = enumerate_maximum(GroupUniverse(g))
     witness = maxima[0]
     mu = Fraction(witness.cardinality, g.order)
     v, case = density_formula(g)
     return DensityReport(g, mu, witness, v, case, mu == v)
 
 
-def verify_index2_structure(g: GroupSpec, cap: int = MAXIMUM_CAP) -> Optional[bool]:
+def verify_index2_structure(g: GroupSpec) -> Optional[bool]:
     """Check that the half-order sum-free sets are exactly the nontrivial
     cosets of the index-2 subgroups.
 
@@ -82,7 +76,7 @@ def verify_index2_structure(g: GroupSpec, cap: int = MAXIMUM_CAP) -> Optional[bo
     order = g.order
     if order % 2 != 0:
         return None
-    maxima = enumerate_maximum(GroupUniverse(g), cap)
+    maxima = enumerate_maximum(GroupUniverse(g))
     max_card = maxima[0].cardinality
     if max_card > order // 2:
         raise AssertionError("sum-free set above half the group order")
@@ -98,10 +92,10 @@ def verify_index2_structure(g: GroupSpec, cap: int = MAXIMUM_CAP) -> Optional[bo
     return half_sets == cosets
 
 
-def coset_floor_check(g: GroupSpec, cap: int = MAXIMUM_CAP) -> bool:
+def coset_floor_check(g: GroupSpec) -> bool:
     """Maximum sum-free cardinality reaches order/q, q the least prime divisor."""
     q = sorted(prime_factors(g.order))[0]
-    maxima = enumerate_maximum(GroupUniverse(g), cap)
+    maxima = enumerate_maximum(GroupUniverse(g))
     return maxima[0].cardinality >= g.order // q
 
 
@@ -235,9 +229,7 @@ def pair_maximal_groups(max_order: int) -> list[tuple[GroupSpec, ElemSet]]:
             for g in abelian_groups_of_order(order) for s in _maximal_of_size(g, 2)]
 
 
-def even_order_leading_term(
-    g: GroupSpec, cap: int = DEFAULT_GROUND_CAP
-) -> tuple[int, Fraction]:
+def even_order_leading_term(g: GroupSpec) -> tuple[int, Fraction]:
     """Leading count estimate (2^V - 1) * 2^(order/2) for even order,
     with the ratio of the exact count to it.  Report only; the estimate
     is asymptotic."""
@@ -245,5 +237,5 @@ def even_order_leading_term(
     if order % 2 != 0:
         raise ValueError("leading term applies to even order only")
     leading = ((1 << g.even_component_count()) - 1) * (1 << (order // 2))
-    exact = count_sum_free(GroupUniverse(g), cap)
+    exact = count_sum_free(GroupUniverse(g))
     return leading, Fraction(exact, leading)

@@ -37,10 +37,13 @@ stands for |orbit| / m sets.  The stabiliser of r splits the candidates
 of {r} into orbits in turn (GroupSpec.stabiliser_orbits): one walk per
 orbit Q of two or more candidates, rooted at r and one element of Q,
 weights its sets by |Q| / m2 as well, and one walk from {r} takes the
-rest.  The listings (enumerate_sum_free, enumerate_maximal), the group
-shards, enumerate_maximum (pruned by a translation-matching bound) and
-maximal_sets_of_size (cut at a depth) walk from the empty set.  No walk
-builds a mask for a leaf unless it needs one.
+rest.  The listings and the group shards walk from the empty set on the
+one walker, _walk: enumerate_sum_free, the shards, and a group's maximal
+sets (enumerate_maximal, and maximal_sets_of_size, whose visit cuts the
+walk at a depth).  An interval's maximal sets come from the maximal
+count's walk.  enumerate_maximum (pruned by a translation-matching bound)
+keeps its own loop, which skips a hopeless child before computing its
+mask.  No walk builds a mask for a leaf unless it needs one.
 
 Sharded counting fixes the first log2(shard_count) include/exclude
 decisions from the bits of the shard index (bit j governs ground element
@@ -76,16 +79,17 @@ def _require_ground(u: Universe, cap: int) -> None:
 
 
 def _walk(forbid: Callable[[int, int, int], int],
-          visit: Optional[Callable[[int, Optional[int]], None]],
+          visit: Optional[Callable[[int, Optional[int]], Optional[bool]]],
           ground: int, s: int, f: int, min_slot: int, masks: bool = False) -> int:
     """Count the sets below s inside ground, one node per set, stepping by
-    forbid (a universe's); visit(s, forbidden) at each.
+    forbid (a universe's); visit(s, forbidden) at each.  A visit that
+    returns True cuts the sets below its node.
 
     The child on a node's last candidate is a leaf; unless masks is set,
     it gets no mask and is visited with forbidden None.
     """
-    if visit is not None:
-        visit(s, f)
+    if visit is not None and visit(s, f):
+        return 1
     total = 1
     avail = ground & ~f & (-1 << min_slot)
     while avail:
@@ -204,39 +208,19 @@ def _interval_maximal(u: IntervalUniverse, found: Optional[list[int]]) -> int:
     return count
 
 
-def _tally(u: Universe, cap: int,
-           found: Optional[list[int]] = None) -> tuple[int, int, dict[int, int]]:
-    """(count, maximal count, {cardinality: count}).
-
-    found, if given, collects the masks of the maximal sets; a group
-    universe then gets the plain walk, which visits every set.
-    """
-    _require_ground(u, cap)
+def _tally(u: Universe) -> tuple[int, int, dict[int, int]]:
+    """(count, maximal count, {cardinality: count})."""
+    _require_ground(u, DEFAULT_GROUND_CAP)
     if isinstance(u, IntervalUniverse):
         # no cardinality count reaches 2^(ground + 1)
         width = u.ground_size + 2
         packed = sum(_interval_walk(u, 0, 1, width))
         hist = [packed >> width * k & (1 << width) - 1 for k in range(u.ground_size + 1)]
-        f, f_max = sum(hist), _interval_maximal(u, found)
-    elif found is None:
+        f, f_max = sum(hist), _interval_maximal(u, None)
+    else:
         tally = _orbit_tally(u, True)
         hist = [tally[2 * k] + tally[2 * k + 1] for k in range(u.group.order)]
         f, f_max = sum(hist), sum(tally[1::2])
-    else:
-        ground = u.ground_mask
-        hist = [0] * (u.group.order + 1)
-        f_max = 0
-
-        def visit(s: int, forbidden: int) -> None:
-            # for groups the forbidden mask is exactly the elements that
-            # cannot join s
-            nonlocal f_max
-            hist[s.bit_count()] += 1
-            if not ground & ~(s | forbidden):
-                f_max += 1
-                found.append(s)
-
-        f = _walk(u.forbid, visit, ground, 0, 0, 0, True)
     return f, f_max, {m: c for m, c in enumerate(hist) if c}
 
 
@@ -365,17 +349,20 @@ def enumerate_naive(u: Universe, visit: Optional[Callable[[ElemSet], None]] = No
     return count
 
 
-def count_sum_free(u: Universe, cap: int = DEFAULT_GROUND_CAP) -> int:
+def count_sum_free(u: Universe) -> int:
     """Number of sum-free subsets of the universe, empty set included."""
-    _require_ground(u, cap)
+    _require_ground(u, DEFAULT_GROUND_CAP)
     return (_interval_count if isinstance(u, IntervalUniverse) else _group_count)(u)
 
 
-def enumerate_sum_free(u: Universe, visit: Callable[[ElemSet], None],
-                       cap: int = DEFAULT_GROUND_CAP) -> int:
+def enumerate_sum_free(u: Universe, visit: Callable[[ElemSet], None]) -> int:
     """Invoke visit on every sum-free subset (ascending lexicographic order)."""
-    _require_ground(u, cap)
-    return _walk(u.forbid, lambda mask, _: visit(ElemSet(u, mask)), u.ground_mask, 0, 0, 0)
+    _require_ground(u, DEFAULT_GROUND_CAP)
+
+    def each(mask: int, _: Optional[int]) -> None:  # whatever visit returns, cut nothing
+        visit(ElemSet(u, mask))
+
+    return _walk(u.forbid, each, u.ground_mask, 0, 0, 0)
 
 
 def _check_shard_count(shard_count: int) -> None:
@@ -408,8 +395,7 @@ def _shard_root(u: Universe, shard_index: int,
     return s, f, u.first_slot + min(k, u.ground_size)
 
 
-def count_sum_free_sharded(u: Universe, shard_index: int, shard_count: int,
-                           cap: int = DEFAULT_GROUND_CAP) -> int:
+def count_sum_free_sharded(u: Universe, shard_index: int, shard_count: int) -> int:
     """Count the shard of sum-free sets selected by the shard index.
 
     The bits of shard_index fix the membership of the first
@@ -419,15 +405,14 @@ def count_sum_free_sharded(u: Universe, shard_index: int, shard_count: int,
     _check_shard_count(shard_count)
     if not 0 <= shard_index < shard_count:
         raise ValueError(f"shard_index {shard_index} out of range for {shard_count}")
-    _require_ground(u, cap)
+    _require_ground(u, DEFAULT_GROUND_CAP)
     if isinstance(u, IntervalUniverse):
         return sum(_interval_walk(u, shard_index, shard_count))
     root = _shard_root(u, shard_index, shard_count)
     return 0 if root is None else _walk(u.forbid, None, u.ground_mask, *root)
 
 
-def count_by_largest(u: IntervalUniverse, shard_count: int = 1,
-                     cap: int = DEFAULT_GROUND_CAP) -> list[int]:
+def count_by_largest(u: IntervalUniverse, shard_count: int = 1) -> list[int]:
     """Sum-free subsets of [lo, hi] by largest element, one transfer per shard root.
 
     Entry 0 counts the empty set and entry i the sets whose largest
@@ -436,12 +421,12 @@ def count_by_largest(u: IntervalUniverse, shard_count: int = 1,
     counts of every [lo, n], n <= hi, whatever the shard_count.
     """
     _check_shard_count(shard_count)
-    _require_ground(u, cap)
+    _require_ground(u, DEFAULT_GROUND_CAP)
     shards = [_interval_walk(u, i, shard_count) for i in range(shard_count)]
     return [sum(column) for column in zip(*shards)]
 
 
-def enumerate_maximum(u: Universe, cap: int = MAXIMUM_CAP) -> list[ElemSet]:
+def enumerate_maximum(u: Universe) -> list[ElemSet]:
     """All sum-free sets of maximum cardinality, ascending lexicographic.
 
     Branch and bound: the first descent builds the greedy set (for
@@ -453,7 +438,7 @@ def enumerate_maximum(u: Universe, cap: int = MAXIMUM_CAP) -> list[ElemSet]:
     cannot reach the best is skipped before its forbidden mask is
     computed.  Ties stay: the list holds every maximum set.
     """
-    _require_ground(u, cap)
+    _require_ground(u, MAXIMUM_CAP)
     forbid, excluded, ground = u.forbid, u.excluded, u.ground_mask
     best = 0
     found: list[int] = []
@@ -489,52 +474,59 @@ def enumerate_maximum(u: Universe, cap: int = MAXIMUM_CAP) -> list[ElemSet]:
     return [ElemSet(u, mask) for mask in found]
 
 
-def enumerate_maximal(u: Universe, cap: int = DEFAULT_GROUND_CAP) -> list[ElemSet]:
-    """All maximal sum-free sets (no one-element extension), ascending lexicographic."""
+def _group_maximal(u: GroupUniverse, size: Optional[int] = None) -> list[ElemSet]:
+    """The maximal sum-free sets of a group, ascending lexicographic; only
+    those of the given cardinality if size is set.
+
+    A group walk's forbidden mask holds exactly the elements that cannot
+    join s, so s is maximal when ground & ~(s | forbidden) == 0.  With a
+    size the walk is cut at that depth: about order^size / size! nodes.
+    """
+    ground = u.ground_mask
     found: list[int] = []
-    _tally(u, cap, found)
+
+    def visit(s: int, forbidden: int) -> bool:
+        k = s.bit_count()
+        if not ground & ~(s | forbidden) and (size is None or k == size):
+            found.append(s)
+        return k == size
+
+    _walk(u.forbid, visit, ground, 0, 0, 0, True)
+    return [ElemSet(u, mask) for mask in found]
+
+
+def enumerate_maximal(u: Universe) -> list[ElemSet]:
+    """All maximal sum-free sets (no one-element extension), ascending lexicographic."""
+    _require_ground(u, DEFAULT_GROUND_CAP)
+    if isinstance(u, GroupUniverse):
+        return _group_maximal(u)
+    found: list[int] = []
+    _interval_maximal(u, found)
     return [ElemSet(u, mask) for mask in found]
 
 
 def maximal_sets_of_size(u: GroupUniverse, size: int) -> list[ElemSet]:
     """The maximal sum-free sets of one cardinality, ascending lexicographic.
 
-    The group walk cut at depth size: its forbidden mask holds exactly
-    the elements that cannot join s, so s is maximal when
-    ground & ~(s | forbidden) == 0.  About order^size / size! nodes.
-    An interval's mask holds only the sums above s, so intervals are refused.
+    An interval's forbidden mask holds only the sums above s, not the
+    differences and halves the maximality test reads, so intervals are
+    refused.
     """
     if not isinstance(u, GroupUniverse):
         raise TypeError(f"maximal_sets_of_size needs a group universe, got {u.describe()}")
-    forbid, ground = u.forbid, u.ground_mask
-    found: list[int] = []
-
-    def rec(s: int, f: int, min_slot: int, depth: int) -> None:
-        if not depth:
-            if not ground & ~(s | f):
-                found.append(s)
-            return
-        avail = ground & ~f & (-1 << min_slot)
-        while avail:
-            b = avail & -avail
-            avail ^= b
-            slot = b.bit_length() - 1
-            rec(s | b, forbid(s, f, slot), slot + 1, depth - 1)
-
-    rec(0, 0, 0, size)
-    return [ElemSet(u, mask) for mask in found]
+    return _group_maximal(u, size)
 
 
-def count_maximal(u: Universe, cap: int = DEFAULT_GROUND_CAP) -> int:
-    return _tally(u, cap)[1]
+def count_maximal(u: Universe) -> int:
+    return _tally(u)[1]
 
 
-def count_by_cardinality(u: Universe, cap: int = DEFAULT_GROUND_CAP) -> dict[int, int]:
+def count_by_cardinality(u: Universe) -> dict[int, int]:
     """Histogram {m: number of sum-free sets of cardinality m}; sums to the count."""
-    return _tally(u, cap)[2]
+    return _tally(u)[2]
 
 
-def count_two_wise(n: int, cap: int = TWO_WISE_CAP) -> int:
+def count_two_wise(n: int) -> int:
     """Subsets of [1, n] that split into two sum-free parts.
 
     Equals 2^n for n <= 4 (a two-part split of [1, 4] exists, so every
@@ -548,8 +540,8 @@ def count_two_wise(n: int, cap: int = TWO_WISE_CAP) -> int:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n > cap:
-        raise CapacityError(f"two-wise counting capped at n <= {cap}, got {n}")
+    if n > TWO_WISE_CAP:
+        raise CapacityError(f"two-wise counting capped at n <= {TWO_WISE_CAP}, got {n}")
     window = (1 << (n + 1)) - 1
 
     def rec(splits: list[tuple[int, int, int, int]], first: int) -> int:
@@ -590,12 +582,11 @@ class CountRecord:
 def build_count_record(u: Universe, with_maximal: bool = False,
                        with_cardinality: bool = False,
                        with_two_wise: bool = False,
-                       shard_count: int = 1,
-                       cap: int = DEFAULT_GROUND_CAP) -> CountRecord:
+                       shard_count: int = 1) -> CountRecord:
     """Assemble a CountRecord for one universe, sharding the base count.
 
-    The maximal count and the histogram come with the count unless it is
-    sharded.
+    The maximal count and the histogram come with the count; sharded, the
+    shard total must equal it (RuntimeError, naming both, if not).
     """
     _check_shard_count(shard_count)
     f_two_wise = None
@@ -605,20 +596,21 @@ def build_count_record(u: Universe, with_maximal: bool = False,
         f_two_wise = count_two_wise(u.hi)
     fused = with_maximal or with_cardinality
     if fused:
-        f, f_max, hist = _tally(u, cap)
+        f, f_max, hist = _tally(u)
     if shard_count > 1:
-        f = sum(
-            count_sum_free_sharded(u, i, shard_count, cap)
-            for i in range(shard_count)
-        )
+        total = sum(count_sum_free_sharded(u, i, shard_count) for i in range(shard_count))
+        if fused and total != f:
+            raise RuntimeError(f"{u.describe()}: the {shard_count} shards total {total}, "
+                               f"the fused count is {f}")
+        f = total
     elif not fused:
-        f = count_sum_free(u, cap)
+        f = count_sum_free(u)
     rec = CountRecord(universe=u.describe(), size=u.ground_size, f=f,
                       f_two_wise=f_two_wise, shard_count=shard_count)
     if isinstance(u, IntervalUniverse) and u.lo == 1:
         n = u.hi
         rec.f_odd = 1 << ((n + 1) // 2)
-        rec.f_interval = count_sum_free(IntervalUniverse((n + 2) // 3, n), cap)
+        rec.f_interval = count_sum_free(IntervalUniverse((n + 2) // 3, n))
         rec.ratio_half = f / 2 ** (n / 2)
     if with_maximal:
         rec.f_max = f_max

@@ -31,7 +31,8 @@ class RandomGenConfig:
     seed_element starts the chain (the output always contains it),
     target_cardinality (at most ceil(sample_hi / 2)) stops it, candidates
     are drawn uniformly from [1, sample_hi], and max_iterations bounds the
-    number of loop passes before giving up with GenerationTimeout.
+    number of loop passes before giving up with GenerationTimeout (the
+    generator gives up at once if its set becomes maximal sum-free).
     """
 
     seed_element: int
@@ -61,37 +62,44 @@ def random_sum_free(cfg: RandomGenConfig) -> ElemSet:
     Each pass draws a uniform candidate, tentatively inserts it, draws a
     fair coin, and commits only if the augmented set is sum-free and the
     coin came up 1.  Deterministic for a fixed rng_seed.  Raises
-    GenerationTimeout when the budget runs out first; the exception
-    carries the partial set.
+    GenerationTimeout when the budget runs out first, or at once when the
+    set is maximal sum-free below the target; the exception carries the
+    partial set.
 
-    The set is sum-free before the insertion, so only sums involving the
-    candidate c can break it: c + x or 2c in s, or c in s + s.  The
-    member mask (bit x - 1) answers the first two, and the reversed mask
-    (bit hi - x) the third: shifted right by hi + 1 - c it puts bit
+    The set is sum-free before the insertion, so a candidate c breaks it
+    only as a member, as x + y, y - x or y / 2 for members x and y.  A
+    mask (bit v - 1) holds those values and grows as each c joins: by c
+    itself, c + s, s - c, c - s and c / 2.  c - s comes from the reversed
+    member mask (bit hi - x): shifted right by hi + 1 - c it puts bit
     c - x - 1 under each member x.
     """
-    hi = cfg.sample_hi
-    v = cfg.seed_element
-    mask, rev, size = 1 << (v - 1), 1 << (hi - v), 1
+    hi, full = cfg.sample_hi, (1 << cfg.sample_hi) - 1
+    mask = rev = blocked = size = 0
     rng = random.Random(cfg.rng_seed)
-    for _ in range(cfg.max_iterations):
-        if size >= cfg.target_cardinality:
+    c, passes = cfg.seed_element, cfg.max_iterations
+    while True:  # c joins
+        mask |= 1 << (c - 1)
+        rev |= 1 << (hi - c)
+        size += 1
+        blocked |= (mask << c | mask | mask >> c | rev >> (hi + 1 - c)) & full
+        if not c & 1:
+            blocked |= 1 << (c // 2 - 1)
+        if size >= cfg.target_cardinality or blocked == full:
             break
-        c = rng.randint(1, hi)
-        coin = rng.randint(1, 2)
-        if coin == 1 and not (mask & (mask << c | 1 << (2 * c - 1) | rev >> (hi + 1 - c))):
-            if not mask >> (c - 1) & 1:
-                mask |= 1 << (c - 1)
-                rev |= 1 << (hi - c)
-                size += 1
+        while passes:
+            passes -= 1
+            c = rng.randint(1, hi)
+            if rng.randint(1, 2) == 1 and not blocked >> (c - 1) & 1:
+                break
+        else:  # out of passes
+            break
     s = ElemSet(IntervalUniverse(1, hi), mask)
     if size >= cfg.target_cardinality:
         return s
+    why = (f": the set reached {size} members and is maximal sum-free in [1, {hi}]"
+           if blocked == full else f" in {cfg.max_iterations} passes (reached {size})")
     raise GenerationTimeout(
-        f"no sum-free set of cardinality {cfg.target_cardinality} found in "
-        f"{cfg.max_iterations} passes (reached {size})",
-        partial=s,
-    )
+        f"no sum-free set of cardinality {cfg.target_cardinality} found{why}", partial=s)
 
 
 @dataclass(frozen=True)

@@ -276,23 +276,23 @@ def _rotate(mask: int, steps: tuple[tuple[int, int, int], ...]) -> int:
     return mask
 
 
-def make_group(moduli: Iterable[int], max_order: int = DEFAULT_MAX_ORDER) -> GroupSpec:
+def make_group(moduli: Iterable[int]) -> GroupSpec:
     """Build a GroupSpec, validating moduli and the order cap."""
     mods = tuple(moduli)
     for m in mods:
         if not isinstance(m, int) or m < 2:
             raise ValueError(f"invalid modulus {m!r}: must be an integer >= 2")
     order = math.prod(mods)
-    if order > max_order:
-        raise CapacityError(f"group order {order} exceeds cap {max_order}")
+    if order > DEFAULT_MAX_ORDER:
+        raise CapacityError(f"group order {order} exceeds cap {DEFAULT_MAX_ORDER}")
     return GroupSpec(mods)
 
 
-def group_from_json(data: dict, max_order: int = DEFAULT_MAX_ORDER) -> GroupSpec:
+def group_from_json(data: dict) -> GroupSpec:
     """Parse the wire form {"moduli": [...]}."""
     if not isinstance(data, dict) or "moduli" not in data:
         raise ValueError('expected an object of the form {"moduli": [...]}')
-    return make_group(data["moduli"], max_order)
+    return make_group(data["moduli"])
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,10 @@ def test_count_maximal_flag(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["f"] == 6 and data["f_max"] == 2
+    # sharded, the fused count is checked against the shard total
+    code, out, _ = run(capsys, "count", "--interval", "20", "--maximal", "--shards", "4")
+    assert code == 0
+    assert out.splitlines()[1] == '"interval[1,20]",20,9583,359,1024,2964,,9.358398,,4'
 
 
 def test_count_by_cardinality_group(capsys):
@@ -335,6 +339,11 @@ def test_random_timeout_exit_code(capsys):
                        "--range", "5", "--max-iterations", "20")
     assert code == 3
     assert "timeout" in err
+    # {1, 6, 8, 10} is maximal sum-free in [1, 10]: no pass can add a fifth member
+    code, out, err = run(capsys, "random", "--seed-element", "1", "--target", "5",
+                         "--range", "10", "--max-iterations", str(10 ** 12))
+    assert code == 3 and out == ""
+    assert "reached 4 members and is maximal sum-free in [1, 10]" in err
 
 
 def test_random_target_checked_before_any_draw(capsys, monkeypatch):

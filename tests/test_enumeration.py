@@ -8,8 +8,8 @@ from oracles import (
     sum_free_table,
     two_wise_count_oracle,
 )
+import sumfree.enumeration
 from sumfree.enumeration import (
-    DEFAULT_GROUND_CAP,
     _tally,
     _walk,
     build_count_record,
@@ -86,6 +86,8 @@ def test_enumerate_sum_free_visits_every_set_once():
     assert total == len(seen) == count_sum_free(u)
     assert len({s.members() for s in seen}) == total
     assert all(is_sum_free(u, s) for s in seen)
+    # a visit that returns True still sees every set
+    assert enumerate_sum_free(u, lambda s: True) == total
 
 
 def test_sharding():
@@ -126,10 +128,11 @@ def test_group_counts_match_coordinate_oracle():
             assert {s.cardinality for s in maximum} == {top}, g.moduli
 
 
-def test_count_cap():
+def test_count_cap(monkeypatch):
     with pytest.raises(CapacityError):
         count_sum_free(IntervalUniverse(1, 41))
-    assert count_sum_free(IntervalUniverse(1, 41), cap=41) > 0
+    monkeypatch.setattr(sumfree.enumeration, "DEFAULT_GROUND_CAP", 41)
+    assert count_sum_free(IntervalUniverse(1, 41)) > 0
 
 
 def test_enumerate_maximum_examples():
@@ -324,10 +327,26 @@ def test_build_count_record():
     assert rec.by_cardinality == {0: 1, 1: 4, 2: 4}
     rec2 = build_count_record(IntervalUniverse(1, 4), shard_count=4)
     assert rec2.f == 9
+    rec3 = build_count_record(IntervalUniverse(1, 4), with_maximal=True, shard_count=4)
+    assert (rec3.f, rec3.f_max, rec3.shard_count) == (9, 4, 4)
     with pytest.raises(ValueError):
         build_count_record(GroupUniverse(make_group([5])), with_two_wise=True)
     with pytest.raises(ValueError):
         build_count_record(IntervalUniverse(1, 4), shard_count=0)
+
+
+def test_sharded_count_checked_against_the_fused_count(monkeypatch):
+    sharded = sumfree.enumeration.count_sum_free_sharded
+
+    def off_by_one(u, i, k):
+        return sharded(u, i, k) + (i == 0)
+
+    monkeypatch.setattr(sumfree.enumeration, "count_sum_free_sharded", off_by_one)
+    for flags in ({"with_maximal": True}, {"with_cardinality": True}):
+        with pytest.raises(RuntimeError, match="the 4 shards total 1955, the fused count is 1954"):
+            build_count_record(IntervalUniverse(1, 16), shard_count=4, **flags)
+    # unfused, the shard total is the count
+    assert build_count_record(IntervalUniverse(1, 16), shard_count=4).f == 1955
 
 
 def _filtered(u):
@@ -354,12 +373,28 @@ def test_fused_pass_matches_filtered_enumeration():
 
 
 def test_orbit_tally_matches_plain_walk():
-    # orders 17-31, past the filtered enumeration: collecting the maximal
-    # sets makes _tally take the plain walk, which visits every set
+    # orders 17-31, past the filtered enumeration: the orbit tally and the
+    # maximal listings against one uncut _walk, which makes one node per set
     for order in range(17, 32):
         for g in abelian_groups_of_order(order):
             u = GroupUniverse(g)
-            assert _tally(u, DEFAULT_GROUND_CAP) == _tally(u, DEFAULT_GROUND_CAP, []), g.moduli
+            ground = u.ground_mask
+            hist = [0] * (order + 1)
+            maximal = []
+
+            def visit(s, forbidden):
+                hist[s.bit_count()] += 1
+                if not ground & ~(s | forbidden):
+                    maximal.append(s)
+
+            f = _walk(u.forbid, visit, ground, 0, 0, 0, True)
+            hist = {k: c for k, c in enumerate(hist) if c}
+            assert _tally(u) == (f, len(maximal), hist), g.moduli
+            # the same sets in the same, ascending lexicographic, order
+            assert [s.mask for s in enumerate_maximal(u)] == maximal, g.moduli
+            for size in (1, 2, 3):
+                got = [s.mask for s in maximal_sets_of_size(u, size)]
+                assert got == [s for s in maximal if s.bit_count() == size], (g.moduli, size)
 
 
 def _prefix_counts(by_top):

@@ -86,6 +86,14 @@ def test_random_sum_free_timeout():
     assert err.value.partial.cardinality < 3
 
 
+def test_random_sum_free_stops_once_maximal():
+    # the default budget would spend 100,000 passes on a set that can never grow
+    cfg = RandomGenConfig(seed_element=1, target_cardinality=5, sample_hi=10)
+    with pytest.raises(GenerationTimeout, match="reached 4 members and is maximal sum-free") as err:
+        random_sum_free(cfg)
+    assert err.value.partial.members() == (1, 6, 8, 10)
+
+
 def test_find_prime_examples():
     assert find_prime([5]).p == 2
     assert find_prime([1, 2, 3]).p == 5

@@ -16,8 +16,12 @@ def test_offline_dump_lines():
     groups, windows = out[:10], out[10:]
     assert [line.split()[0] for line in groups] == [
         "2", "3", "4", "2x2", "5", "2x3", "7", "8", "4x2", "2x2x2"]
-    assert groups[0] == "2 f=2 f_max=1 hist=0:1;1:1 maximum=[[1]]"
-    assert groups[3] == "2x2 f=7 f_max=3 hist=0:1;1:3;2:3 maximum=[[1,2],[1,3],[2,3]]"
+    # up to order window_hi, the groups list their maximal sets
+    assert groups[0] == "2 f=2 f_max=1 hist=0:1;1:1 maximum=[[1]] maximal=[[1]]"
+    assert groups[2] == "4 f=5 f_max=2 hist=0:1;1:3;2:1 maximum=[[1,3]] maximal=[[1,3],[2]]"
+    assert groups[3] == "2x2 f=7 f_max=3 hist=0:1;1:3;2:3 maximum=[[1,2],[1,3],[2,3]] " \
+                        "maximal=[[1,2],[1,3],[2,3]]"
+    assert "maximal" not in _fields(groups[4])  # Z_5 lies past window_hi
     assert groups[7] == "8 maximum=[[1,3,5,7]]"  # past count_order: no counts
     # every [lo, hi] with hi <= 4, then [1, 5] and [1, 6]
     assert [line.split()[0] for line in windows] == [

@@ -6,7 +6,8 @@ For every abelian group of order 2-64 (in the order of
 abelian_groups_of_order), one line: the moduli, then, up to order 41, the
 count, the maximal count and the cardinality histogram (one fused
 build_count_record), then the list of maximum sum-free sets
-(enumerate_maximum, element indices).  Then one line per interval window,
+(enumerate_maximum, element indices), then, up to order 24, the maximal
+sets (enumerate_maximal, sorted).  Then one line per interval window,
 every [lo, hi] with hi <= 24 and [1, n] for 25 <= n <= 33: the window,
 the same count, maximal count and histogram, the counts by largest
 element (count_by_largest) and the maximum sets (values), then, for
@@ -50,11 +51,16 @@ def _maximum(u: Universe) -> str:
     return _sets("maximum", enumerate_maximum(u))
 
 
+def _maximal(u: Universe) -> str:
+    return _sets("maximal", sorted(enumerate_maximal(u), key=ElemSet.members))
+
+
 def dump_lines(count_order: int = 41, maximum_order: int = 64,
                window_hi: int = 24, prefix_hi: int = 33) -> Iterator[str]:
     """The dump's lines: group counts up to count_order, group maximum sets up
     to maximum_order, then the windows [lo, hi], hi <= window_hi, and [1, n],
-    window_hi < n <= prefix_hi; the windows list their maximal sets."""
+    window_hi < n <= prefix_hi; the maximal sets are listed for the groups
+    of order and the windows with hi at most window_hi."""
     for n in range(2, max(count_order, maximum_order) + 1):
         for g in abelian_groups_of_order(n):
             u = GroupUniverse(g)
@@ -63,6 +69,8 @@ def dump_lines(count_order: int = 41, maximum_order: int = 64,
                 fields += _counts(u)
             if n <= maximum_order:
                 fields.append(_maximum(u))
+            if n <= window_hi:
+                fields.append(_maximal(u))
             yield " ".join(fields)
     windows = [(lo, hi) for hi in range(1, window_hi + 1) for lo in range(1, hi + 1)]
     for lo, hi in windows + [(1, n) for n in range(window_hi + 1, prefix_hi + 1)]:
@@ -70,7 +78,7 @@ def dump_lines(count_order: int = 41, maximum_order: int = 64,
         by_largest = ";".join(map(str, count_by_largest(u)))
         fields = [f"[{lo},{hi}]", *_counts(u), f"by_largest={by_largest}", _maximum(u)]
         if hi <= window_hi:
-            fields.append(_sets("maximal", sorted(enumerate_maximal(u), key=ElemSet.members)))
+            fields.append(_maximal(u))
         yield " ".join(fields)
 
 
