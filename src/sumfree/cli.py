@@ -18,46 +18,25 @@ CSV output uses '.' decimals and no locale; exact rationals are printed
 as p/q next to a float column.
 """
 
+from __future__ import annotations
+
 import argparse
 import csv
 import io
 import json
 import math
 import sys
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from .analysis import (
-    density_report,
-    even_order_leading_term,
-    pair_maximal_groups,
-    singleton_maximal_groups,
-    verify_index2_structure,
-)
-from .enumeration import (
-    DEFAULT_GROUND_CAP,
-    MAXIMUM_CAP,
-    build_count_record,
-    count_by_largest,
-    count_sum_free,
-)
 from .errors import CapacityError, GenerationTimeout
-from .generate import RandomGenConfig, extract_sum_free, random_sum_free
-from .groups import (
-    DEFAULT_MAX_ORDER,
-    GroupSpec,
-    abelian_groups_of_order,
-    index2_subgroups,
-    make_group,
-)
-from .universe import (
-    ElemSet,
-    GroupUniverse,
-    IntervalUniverse,
-    count_schur_triples,
-    is_maximal_sum_free,
-    is_sum_free,
-    is_two_wise_sum_free,
-)
+
+if TYPE_CHECKING:
+    from types import ModuleType
+
+    from .groups import GroupSpec
+
+# Each command imports the modules it runs when it runs, so that building the
+# parser loads no walker and a command loads only what it calls.
 
 
 def _add_universe_flags(p: argparse.ArgumentParser) -> None:
@@ -68,6 +47,9 @@ def _add_universe_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _universe_from_args(args):
+    from .groups import make_group
+    from .universe import GroupUniverse, IntervalUniverse
+
     picked = sum(
         x is not None
         for x in (args.interval, args.interval_lo, args.interval_hi, args.group)
@@ -130,6 +112,10 @@ def _moduli_label(moduli: tuple[int, ...]) -> str:
 
 
 def cmd_verify(args) -> int:
+    from .groups import DEFAULT_MAX_ORDER
+    from .universe import (ElemSet, count_schur_triples, is_maximal_sum_free, is_sum_free,
+                           is_two_wise_sum_free)
+
     u = _universe_from_args(args)
     if u.ground_size > DEFAULT_MAX_ORDER:  # group orders are capped by make_group
         raise CapacityError(
@@ -155,6 +141,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from .enumeration import build_count_record
+
     u = _universe_from_args(args)
     rec = build_count_record(
         u,
@@ -188,6 +176,9 @@ def cmd_count(args) -> int:
 
 
 def interval_sweep_rows(n_max: int, shard_count: int) -> list[dict]:
+    from .enumeration import count_by_largest
+    from .universe import IntervalUniverse
+
     # one walk of [1, n_max]: f(n) counts the sets whose largest element is <= n;
     # at least [1, 1], so that the shard count is checked whatever n_max
     by_top = count_by_largest(IntervalUniverse(1, max(n_max, 1)), shard_count)
@@ -215,12 +206,17 @@ def cmd_sweep_intervals(args) -> int:
 
 
 def _mu_row(g: GroupSpec) -> dict:
+    from .analysis import density_report
+
     rep = density_report(g)
     return {"mu": str(rep.mu), "mu_float": f"{float(rep.mu):.6f}", "v": str(rep.v),
             "v_case": rep.v_case, "agree": rep.agree}
 
 
 def _index2_row(g: GroupSpec) -> dict:
+    from .analysis import verify_index2_structure
+    from .groups import index2_subgroups
+
     ok = verify_index2_structure(g)
     return {"subgroups": len(index2_subgroups(g)),
             "expected": (1 << g.even_component_count()) - 1,
@@ -228,6 +224,10 @@ def _index2_row(g: GroupSpec) -> dict:
 
 
 def _lev_row(g: GroupSpec) -> dict:
+    from .analysis import even_order_leading_term
+    from .enumeration import count_sum_free
+    from .universe import GroupUniverse
+
     if g.order % 2:
         return dict.fromkeys(("leading", "f", "ratio", "ratio_float"), "n/a")
     leading, ratio = even_order_leading_term(g)
@@ -236,33 +236,45 @@ def _lev_row(g: GroupSpec) -> dict:
 
 
 def _giudici1_rows(max_order: int) -> Callable[[GroupSpec], dict]:
+    from .analysis import singleton_maximal_groups
+
     hits = {g.moduli: wits for g, wits in singleton_maximal_groups(max_order)}
     return lambda g: {"witnesses": ";".join(str(w.index) for w in hits.get(g.moduli, ()))}
 
 
 def _giudici2_rows(max_order: int) -> Callable[[GroupSpec], dict]:
+    from .analysis import pair_maximal_groups
+
     pairs: dict[tuple[int, ...], list[str]] = {}
     for g, s in pair_maximal_groups(max_order):
         pairs.setdefault(g.moduli, []).append(":".join(str(v) for v in s.members()))
     return lambda g: {"pairs": ";".join(pairs.get(g.moduli, []))}
 
 
-# check -> (its columns, the largest ground size it takes, a function of
-# max_order giving the row builder); the scans walk to depth 1 or 2, so
-# only the order cap of make_group bounds them
-GROUP_CHECKS: dict[str, tuple[list[str], int, Callable[[int], Callable[[GroupSpec], dict]]]] = {
-    "mu": (["mu", "mu_float", "v", "v_case", "agree"], MAXIMUM_CAP, lambda _: _mu_row),
-    "index2": (["subgroups", "expected", "coset_equality"], MAXIMUM_CAP, lambda _: _index2_row),
-    "lev": (["leading", "f", "ratio", "ratio_float"], DEFAULT_GROUND_CAP, lambda _: _lev_row),
-    "giudici1": (["witnesses"], DEFAULT_MAX_ORDER - 1, _giudici1_rows),
-    "giudici2": (["pairs"], DEFAULT_MAX_ORDER - 1, _giudici2_rows),
+# check -> (its columns, the largest ground size it takes, read off the
+# enumeration and groups modules, and a function of max_order giving the row
+# builder); the scans walk to depth 1 or 2, so only the order cap of
+# make_group bounds them
+GROUP_CHECKS: dict[str, tuple[list[str], Callable[[ModuleType, ModuleType], int],
+                              Callable[[int], Callable[[GroupSpec], dict]]]] = {
+    "mu": (["mu", "mu_float", "v", "v_case", "agree"], lambda e, _: e.MAXIMUM_CAP,
+           lambda _: _mu_row),
+    "index2": (["subgroups", "expected", "coset_equality"], lambda e, _: e.MAXIMUM_CAP,
+               lambda _: _index2_row),
+    "lev": (["leading", "f", "ratio", "ratio_float"], lambda e, _: e.DEFAULT_GROUND_CAP,
+            lambda _: _lev_row),
+    "giudici1": (["witnesses"], lambda _, g: g.DEFAULT_MAX_ORDER - 1, _giudici1_rows),
+    "giudici2": (["pairs"], lambda _, g: g.DEFAULT_MAX_ORDER - 1, _giudici2_rows),
 }
 
 
 def group_sweep_rows(max_order: int, check: str) -> tuple[list[str], list[dict]]:
+    from . import enumeration, groups
+
     if check not in GROUP_CHECKS:
         raise ValueError(f"unknown check {check!r}")
-    fields, cap, builder = GROUP_CHECKS[check]
+    fields, cap_of, builder = GROUP_CHECKS[check]
+    cap = cap_of(enumeration, groups)
     if max_order - 1 > cap:  # before the first row, not when the sweep gets there
         raise CapacityError(
             f"check {check} to order {max_order} needs ground size {max_order - 1}, "
@@ -271,7 +283,7 @@ def group_sweep_rows(max_order: int, check: str) -> tuple[list[str], list[dict]]
     rows = [
         {"moduli": _moduli_label(g.moduli), "order": n, **row(g)}
         for n in range(2, max_order + 1)
-        for g in abelian_groups_of_order(n)
+        for g in groups.abelian_groups_of_order(n)
     ]
     return ["moduli", "order", *fields], rows
 
@@ -282,6 +294,8 @@ def cmd_sweep_groups(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    from .generate import extract_sum_free
+
     trace = extract_sum_free(_read_int_array(args.input))
     if args.trace:
         _emit(json.dumps(trace.to_json_dict(), indent=2) + "\n", args.out)
@@ -291,6 +305,9 @@ def cmd_extract(args) -> int:
 
 
 def cmd_random(args) -> int:
+    from .generate import RandomGenConfig, random_sum_free
+    from .groups import DEFAULT_MAX_ORDER
+
     if args.range > DEFAULT_MAX_ORDER:  # every draw builds a mask this wide
         raise CapacityError(
             f"random range [1,{args.range}] has {args.range} elements, "

@@ -532,35 +532,35 @@ def count_two_wise(n: int) -> int:
     Equals 2^n for n <= 4 (a two-part split of [1, 4] exists, so every
     subset inherits one); the first shortfall appears at n = 5.
 
-    Walks the subsets in ascending order, carrying every split of the
-    current set as (part, its sums, other part, its sums), value-indexed
-    masks.  A larger element joins a part unless it is a sum of two of
-    that part's members.  The family is closed under taking subsets, so a
-    set with no split left ends its branch.
+    S splits exactly when S lies in M1 | M2 for two maximal sum-free sets
+    (extend each part to a maximal set; conversely S & M1 and S - M1 are
+    sum-free).  So the unions of the pairs of maximal sets (M1 = M2 too)
+    are marked in a bit table over the 2^n subset masks, and the marks are
+    closed downwards one slot at a time: a set with slot i marks the set
+    without it.  sel_i, the masks with slot i, is a repeated byte pattern.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > TWO_WISE_CAP:
         raise CapacityError(f"two-wise counting capped at n <= {TWO_WISE_CAP}, got {n}")
-    window = (1 << (n + 1)) - 1
-
-    def rec(splits: list[tuple[int, int, int, int]], first: int) -> int:
-        total = 1
-        for v in range(first, n + 1):
-            b = 1 << v
-            grown = []
-            for p, sums, q, other in splits:
-                if not sums & b:
-                    grown.append((p | b, sums | (((p | b) << v) & window), q, other))
-                if not other & b:
-                    grown.append((q | b, other | (((q | b) << v) & window), p, sums))
-            if grown:
-                total += rec(grown, v + 1)
-        return total
-
-    # the smallest element goes to the first part without loss of generality
-    return 1 + sum(rec([(1 << v, (1 << 2 * v) & window, 0, 0)], v + 1)
-                   for v in range(1, n + 1))
+    found: list[int] = []
+    _interval_maximal(IntervalUniverse(1, n), found)
+    size = max(1 << n >> 3, 1)  # bytes; masks past 2^n stay clear
+    marks = bytearray(size)
+    for i, a in enumerate(found):
+        for b in found[i:]:
+            u = a | b
+            marks[u >> 3] |= 1 << (u & 7)
+    bits = int.from_bytes(marks, "little")
+    for i in range(n):
+        if i < 3:
+            pattern = bytes([(0xAA, 0xCC, 0xF0)[i]])
+        else:
+            half = 1 << (i - 3)
+            pattern = bytes(half) + b"\xff" * half
+        sel = int.from_bytes(pattern * (size // len(pattern)), "little")
+        bits |= (bits & sel) >> (1 << i)
+    return bits.bit_count()
 
 
 @dataclass

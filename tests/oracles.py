@@ -58,6 +58,36 @@ def two_wise_count_oracle(n: int) -> int:
     return total
 
 
+def two_wise_split_walk(n: int) -> int:
+    """Count subsets of [1, n] splittable into two sum-free parts by walking
+    them in ascending order with every split of the current set.
+
+    A split is (part, its sums, other part, its sums), masks with bit v for
+    value v.  A larger element joins a part unless it is a sum of two of
+    that part's members; a set with no split left ends its branch, since
+    the family is closed under taking subsets.
+    """
+    window = (1 << (n + 1)) - 1
+
+    def rec(splits: list[tuple[int, int, int, int]], first: int) -> int:
+        total = 1
+        for v in range(first, n + 1):
+            b = 1 << v
+            grown = []
+            for p, sums, q, other in splits:
+                if not sums & b:
+                    grown.append((p | b, sums | (((p | b) << v) & window), q, other))
+                if not other & b:
+                    grown.append((q | b, other | (((q | b) << v) & window), p, sums))
+            if grown:
+                total += rec(grown, v + 1)
+        return total
+
+    # the smallest element goes to the first part without loss of generality
+    return 1 + sum(rec([(1 << v, (1 << 2 * v) & window, 0, 0)], v + 1)
+                   for v in range(1, n + 1))
+
+
 def group_count_oracle(moduli: tuple[int, ...]) -> tuple[int, int, dict[int, int]]:
     """(count, maximal count, {cardinality: count}) of the sum-free subsets
     of Z_m1 x Z_m2 x ..., from coordinate tuples and Python sets.

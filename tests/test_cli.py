@@ -222,13 +222,13 @@ def test_verify_cap_checked_before_reading_the_set(tmp_path, capsys, monkeypatch
 
 
 def test_random_cap_checked_before_any_draw(capsys, monkeypatch):
-    import sumfree.cli
+    import sumfree.generate
     from sumfree.groups import DEFAULT_MAX_ORDER
 
     def no_draw(*args, **kwargs):
         raise AssertionError("generator called although the cap is exceeded")
 
-    monkeypatch.setattr(sumfree.cli, "random_sum_free", no_draw)
+    monkeypatch.setattr(sumfree.generate, "random_sum_free", no_draw)
     size = DEFAULT_MAX_ORDER + 1
     code, out, err = run(capsys, "random", "--seed-element", "1", "--target", "40",
                          "--range", str(size))
@@ -347,12 +347,12 @@ def test_random_timeout_exit_code(capsys):
 
 
 def test_random_target_checked_before_any_draw(capsys, monkeypatch):
-    import sumfree.cli
+    import sumfree.generate
 
     def no_draw(*args, **kwargs):
         raise AssertionError("generator called although the target is out of reach")
 
-    monkeypatch.setattr(sumfree.cli, "random_sum_free", no_draw)
+    monkeypatch.setattr(sumfree.generate, "random_sum_free", no_draw)
     # the largest sum-free subsets of [1, 10] have 5 members
     code, out, err = run(capsys, "random", "--seed-element", "1", "--target", "6",
                          "--range", "10", "--max-iterations", str(10 ** 12))

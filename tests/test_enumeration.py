@@ -7,6 +7,7 @@ from oracles import (
     interval_tally_oracle,
     sum_free_table,
     two_wise_count_oracle,
+    two_wise_split_walk,
 )
 import sumfree.enumeration
 from sumfree.enumeration import (
@@ -301,6 +302,12 @@ def test_count_two_wise_examples():
 def test_count_two_wise_matches_oracle():
     for n in range(1, 11):
         assert count_two_wise(n) == two_wise_count_oracle(n)
+
+
+def test_count_two_wise_matches_split_walk():
+    # past the submask oracle's reach, the walk over the splits is the second algorithm
+    for n in range(1, 17):
+        assert count_two_wise(n) == two_wise_split_walk(n), n
 
 
 def test_growth_invariants():

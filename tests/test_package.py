@@ -1,0 +1,95 @@
+"""The package's exported names and what each entry point imports."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sumfree
+
+SRC = Path(sumfree.__file__).resolve().parent.parent
+
+# defining module -> the names the package exports from it
+EXPORTS = {
+    "analysis": ["DensityReport", "StructureVerdict", "WeightedDensityReport",
+                 "coset_floor_check", "decomposition_ratio", "density_formula",
+                 "density_report", "even_order_leading_term", "pair_maximal_groups",
+                 "singleton_maximal_groups", "structure_verdict", "verify_index2_structure",
+                 "weighted_density_check"],
+    "construct": ["coset", "extremal_intervals", "lift_residues", "middle_block",
+                  "middle_third", "odds", "outer_bands", "periodic_residues"],
+    "enumeration": ["CountRecord", "build_count_record", "count_by_cardinality",
+                    "count_by_largest", "count_maximal", "count_sum_free",
+                    "count_sum_free_sharded", "count_two_wise", "enumerate_maximal",
+                    "enumerate_maximum", "enumerate_naive", "enumerate_sum_free",
+                    "maximal_sets_of_size"],
+    "errors": ["CapacityError", "GenerationTimeout"],
+    "generate": ["ExtractionTrace", "PrimePick", "RandomGenConfig", "extract_sum_free",
+                 "find_dilator", "find_prime", "random_sum_free", "residue_weights"],
+    "groups": ["Element", "GroupSpec", "Subgroup", "abelian_groups_of_order",
+               "generated_subgroup", "group_from_json", "index2_subgroups", "make_group"],
+    "universe": ["ElemSet", "GroupUniverse", "IntervalUniverse", "Universe",
+                 "count_schur_triples", "is_a_free", "is_difference_free",
+                 "is_maximal_sum_free", "is_sum_free", "is_two_wise_sum_free"],
+}
+
+
+def test_all_lists_the_exported_names():
+    names = [name for group in EXPORTS.values() for name in group]
+    assert len(names) == len(set(names)) == 62
+    assert sorted(sumfree.__all__) == sorted(names)
+
+
+def test_every_name_is_the_defining_modules_object():
+    for module_name, names in EXPORTS.items():
+        module = importlib.import_module(f"sumfree.{module_name}")
+        for name in names:
+            value = vars(module)[name]
+            namespace: dict = {}
+            exec(f"from sumfree import {name}", namespace)
+            assert namespace[name] is value is getattr(sumfree, name), name
+            if getattr(value, "__module__", "").startswith("sumfree."):
+                assert value.__module__ == module.__name__, name
+    namespace = {}
+    exec("from sumfree import *", namespace)
+    assert set(sumfree.__all__) <= set(namespace)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'count_everything'"):
+        sumfree.count_everything  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from sumfree import count_everything", {})
+
+
+# runs an entry point in a fresh interpreter and prints the sumfree modules it loaded
+_LOADED = """
+import contextlib, io, json, sys
+from sumfree.cli import build_parser, main
+build_parser()
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m == "sumfree" or m.startswith("sumfree."))))
+"""
+
+
+def _loaded(*argv: str) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return {name.removeprefix("sumfree.") for name in json.loads(out)}
+
+
+def test_entry_points_load_only_what_they_run(tmp_path):
+    assert _loaded() == {"sumfree", "cli", "errors"}
+    assert not _loaded("count", "--interval", "5") & {"analysis", "construct", "generate"}
+    path = tmp_path / "s.json"
+    path.write_text("[1, 4]")
+    assert not _loaded("verify", "--interval", "5", "--set", str(path)) & {
+        "enumeration", "analysis"}

@@ -12,8 +12,9 @@ def test_offline_dump_lines():
     spec = importlib.util.spec_from_file_location("offline_dump", DUMP)
     dump = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(dump)
-    out = list(dump.dump_lines(count_order=6, maximum_order=8, window_hi=4, prefix_hi=6))
-    groups, windows = out[:10], out[10:]
+    out = list(dump.dump_lines(count_order=6, maximum_order=8, window_hi=4, prefix_hi=6,
+                               two_wise_hi=5))
+    groups, windows, two_wise = out[:10], out[10:22], out[22:]
     assert [line.split()[0] for line in groups] == [
         "2", "3", "4", "2x2", "5", "2x3", "7", "8", "4x2", "2x2x2"]
     # up to order window_hi, the groups list their maximal sets
@@ -39,3 +40,5 @@ def test_offline_dump_lines():
     by_largest = [int(c) for c in _fields(windows[-1])["by_largest"].split(";")]
     assert [sum(by_largest[:n + 1]) for n in range(1, 7)] == [
         prefixes[f"[1,{n}]"] for n in range(1, 7)]
+    # last, the two-wise counts of [1, n]: all 2^n subsets split until n = 5
+    assert two_wise == [f"[1,{n}] two_wise={c}" for n, c in enumerate([2, 4, 8, 16, 31], 1)]

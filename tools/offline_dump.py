@@ -11,7 +11,8 @@ sets (enumerate_maximal, sorted).  Then one line per interval window,
 every [lo, hi] with hi <= 24 and [1, n] for 25 <= n <= 33: the window,
 the same count, maximal count and histogram, the counts by largest
 element (count_by_largest) and the maximum sets (values), then, for
-hi <= 24, the maximal sets (enumerate_maximal, sorted).  Only the
+hi <= 24, the maximal sets (enumerate_maximal, sorted).  Last, one line
+per [1, n], n <= 18, with the two-wise count (count_two_wise).  Only the
 standard library is used.
 
 To compare two commits, extract each with `git archive REV | tar -x -C DIR`,
@@ -30,6 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from sumfree.enumeration import (  # noqa: E402
     build_count_record,
     count_by_largest,
+    count_two_wise,
     enumerate_maximal,
     enumerate_maximum,
 )
@@ -56,11 +58,13 @@ def _maximal(u: Universe) -> str:
 
 
 def dump_lines(count_order: int = 41, maximum_order: int = 64,
-               window_hi: int = 24, prefix_hi: int = 33) -> Iterator[str]:
+               window_hi: int = 24, prefix_hi: int = 33,
+               two_wise_hi: int = 18) -> Iterator[str]:
     """The dump's lines: group counts up to count_order, group maximum sets up
     to maximum_order, then the windows [lo, hi], hi <= window_hi, and [1, n],
     window_hi < n <= prefix_hi; the maximal sets are listed for the groups
-    of order and the windows with hi at most window_hi."""
+    of order and the windows with hi at most window_hi.  Then the two-wise
+    counts of [1, n], n <= two_wise_hi."""
     for n in range(2, max(count_order, maximum_order) + 1):
         for g in abelian_groups_of_order(n):
             u = GroupUniverse(g)
@@ -80,6 +84,8 @@ def dump_lines(count_order: int = 41, maximum_order: int = 64,
         if hi <= window_hi:
             fields.append(_maximal(u))
         yield " ".join(fields)
+    for n in range(1, two_wise_hi + 1):
+        yield f"[1,{n}] two_wise={count_two_wise(n)}"
 
 
 if __name__ == "__main__":
