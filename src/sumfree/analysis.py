@@ -5,10 +5,10 @@ checked inequalities are tight (slack exactly zero), so nothing here may
 go through floating point.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._record import Record
 from .arith import divisors, is_prime, prime_factors
 from .construct import middle_third, outer_bands
 from .enumeration import count_sum_free, enumerate_maximum, maximal_sets_of_size
@@ -44,8 +44,7 @@ def density_formula(g: GroupSpec) -> tuple[Fraction, int]:
     return Fraction(1, 3) - Fraction(1, 3 * m), 3
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(Record):
     """Brute-force maximum density next to the closed-form value."""
 
     group: GroupSpec
@@ -99,8 +98,7 @@ def coset_floor_check(g: GroupSpec) -> bool:
     return maxima[0].cardinality >= g.order // q
 
 
-@dataclass(frozen=True)
-class WeightedDensityReport:
+class WeightedDensityReport(Record):
     """Outcome of the two-band weighted density inequality for one modulus."""
 
     n: int
@@ -137,8 +135,7 @@ def weighted_density_check(n: int) -> WeightedDensityReport:
     return WeightedDensityReport(n, min_slack >= 0, min_slack, tight, slacks)
 
 
-@dataclass(frozen=True)
-class StructureVerdict:
+class StructureVerdict(Record):
     """pass, vacuous, or fail plus the violated clause."""
 
     status: str

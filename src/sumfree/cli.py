@@ -23,12 +23,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import sys
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .errors import CapacityError, GenerationTimeout
+from .errors import DEFAULT_MAX_ORDER, CapacityError, GenerationTimeout
 
 if TYPE_CHECKING:
     from types import ModuleType
@@ -47,7 +46,6 @@ def _add_universe_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _universe_from_args(args):
-    from .groups import make_group
     from .universe import GroupUniverse, IntervalUniverse
 
     picked = sum(
@@ -60,6 +58,8 @@ def _universe_from_args(args):
         items = args.group.split(",")
         if not all(x.strip() for x in items):
             raise ValueError(f"--group {args.group!r} has an empty item")
+        from .groups import make_group
+
         return GroupUniverse(make_group([int(x) for x in items]))
     if args.interval is not None:
         if args.interval_lo is not None or args.interval_hi is not None:
@@ -89,14 +89,22 @@ def _rows_to_csv(fieldnames: list[str], rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+def _emit_json(value, path: Optional[str], indent: Optional[int] = 2) -> None:
+    import json
+
+    _emit(json.dumps(value, indent=indent) + "\n", path)
+
+
 def _emit_rows(fieldnames: list[str], rows: list[dict], fmt: str, path: Optional[str]) -> None:
     if fmt == "json":
-        _emit(json.dumps(rows, indent=2) + "\n", path)
+        _emit_json(rows, path)
     else:
         _emit(_rows_to_csv(fieldnames, rows), path)
 
 
 def _read_int_array(path: str) -> list[int]:
+    import json
+
     with open(path, encoding="utf-8") as fh:
         values = json.load(fh)
     if not isinstance(values, list) or not all(type(v) is int for v in values):  # no bools
@@ -112,7 +120,6 @@ def _moduli_label(moduli: tuple[int, ...]) -> str:
 
 
 def cmd_verify(args) -> int:
-    from .groups import DEFAULT_MAX_ORDER
     from .universe import (ElemSet, count_schur_triples, is_maximal_sum_free, is_sum_free,
                            is_two_wise_sum_free)
 
@@ -132,7 +139,7 @@ def cmd_verify(args) -> int:
         "schur_triples": count_schur_triples(u, s),
     }
     if args.format == "json":
-        _emit(json.dumps(report, indent=2) + "\n", args.out)
+        _emit_json(report, args.out)
     else:
         lines = [f"{k}: {str(v).lower() if isinstance(v, bool) else v}"
                  for k, v in report.items() if k != "set"]
@@ -169,7 +176,7 @@ def cmd_count(args) -> int:
         payload = dict(row)
         payload["by_cardinality"] = rec.by_cardinality
         payload["ratio_half"] = rec.ratio_half
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit_json(payload, args.out)
     else:
         _emit(_rows_to_csv(list(row), [row]), args.out)
     return 0
@@ -179,8 +186,10 @@ def interval_sweep_rows(n_max: int, shard_count: int) -> list[dict]:
     from .enumeration import count_by_largest
     from .universe import IntervalUniverse
 
+    if n_max < 0:
+        raise ValueError(f"--n-max must be >= 0, got {n_max}")
     # one walk of [1, n_max]: f(n) counts the sets whose largest element is <= n;
-    # at least [1, 1], so that the shard count is checked whatever n_max
+    # at least [1, 1], so that the shard count is checked for n_max 0 too
     by_top = count_by_largest(IntervalUniverse(1, max(n_max, 1)), shard_count)
     rows = []
     f = by_top[0]
@@ -273,6 +282,8 @@ def group_sweep_rows(max_order: int, check: str) -> tuple[list[str], list[dict]]
 
     if check not in GROUP_CHECKS:
         raise ValueError(f"unknown check {check!r}")
+    if max_order < 0:
+        raise ValueError(f"--max-order must be >= 0, got {max_order}")
     fields, cap_of, builder = GROUP_CHECKS[check]
     cap = cap_of(enumeration, groups)
     if max_order - 1 > cap:  # before the first row, not when the sweep gets there
@@ -298,15 +309,14 @@ def cmd_extract(args) -> int:
 
     trace = extract_sum_free(_read_int_array(args.input))
     if args.trace:
-        _emit(json.dumps(trace.to_json_dict(), indent=2) + "\n", args.out)
+        _emit_json(trace.to_json_dict(), args.out)
     else:
-        _emit(json.dumps(trace.subset.to_json_list()) + "\n", args.out)
+        _emit_json(trace.subset.to_json_list(), args.out, None)
     return 0
 
 
 def cmd_random(args) -> int:
     from .generate import RandomGenConfig, random_sum_free
-    from .groups import DEFAULT_MAX_ORDER
 
     if args.range > DEFAULT_MAX_ORDER:  # every draw builds a mask this wide
         raise CapacityError(
@@ -321,7 +331,7 @@ def cmd_random(args) -> int:
         rng_seed=args.seed,
     )
     s = random_sum_free(cfg)
-    _emit(json.dumps(s.to_json_list()) + "\n", args.out)
+    _emit_json(s.to_json_list(), args.out, None)
     return 0
 
 
@@ -392,7 +402,7 @@ def main(argv=None) -> int:
     except GenerationTimeout as exc:
         print(f"timeout: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

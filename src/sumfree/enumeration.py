@@ -51,10 +51,10 @@ j, least significant bit first); shard totals add up to the plain count
 for any power-of-two shard count.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
+from ._record import Record
 from .universe import (
     ElemSet,
     GroupUniverse,
@@ -563,8 +563,7 @@ def count_two_wise(n: int) -> int:
     return bits.bit_count()
 
 
-@dataclass
-class CountRecord:
+class CountRecord(Record):
     """One row of a counting experiment."""
 
     universe: str
@@ -605,15 +604,13 @@ def build_count_record(u: Universe, with_maximal: bool = False,
         f = total
     elif not fused:
         f = count_sum_free(u)
-    rec = CountRecord(universe=u.describe(), size=u.ground_size, f=f,
-                      f_two_wise=f_two_wise, shard_count=shard_count)
+    f_odd = f_interval = ratio_half = None
     if isinstance(u, IntervalUniverse) and u.lo == 1:
         n = u.hi
-        rec.f_odd = 1 << ((n + 1) // 2)
-        rec.f_interval = count_sum_free(IntervalUniverse((n + 2) // 3, n))
-        rec.ratio_half = f / 2 ** (n / 2)
-    if with_maximal:
-        rec.f_max = f_max
-    if with_cardinality:
-        rec.by_cardinality = hist
-    return rec
+        f_odd = 1 << ((n + 1) // 2)
+        f_interval = count_sum_free(IntervalUniverse((n + 2) // 3, n))
+        ratio_half = f / 2 ** (n / 2)
+    return CountRecord(universe=u.describe(), size=u.ground_size, f=f, f_odd=f_odd,
+                       f_max=f_max if with_maximal else None, f_interval=f_interval,
+                       f_two_wise=f_two_wise, by_cardinality=hist if with_cardinality else None,
+                       ratio_half=ratio_half, shard_count=shard_count)

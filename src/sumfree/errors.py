@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the size cap shared across the package."""
+
+DEFAULT_MAX_ORDER = 1 << 20  # the largest group order, and the widest mask a command builds
 
 
 class CapacityError(Exception):

@@ -12,20 +12,18 @@ so runs are reproducible across platforms for a fixed seed.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from ._record import Record
 from .arith import is_prime
 from .construct import middle_block
 from .errors import GenerationTimeout
-from .groups import make_group
-from .universe import ElemSet, GroupUniverse, IntervalUniverse
+from .universe import ElemSet, IntervalUniverse
 
 import random
 
 
-@dataclass(frozen=True)
-class RandomGenConfig:
+class RandomGenConfig(Record):
     """Parameters of the randomized nested generator.
 
     seed_element starts the chain (the output always contains it),
@@ -102,8 +100,7 @@ def random_sum_free(cfg: RandomGenConfig) -> ElemSet:
         f"no sum-free set of cardinality {cfg.target_cardinality} found{why}", partial=s)
 
 
-@dataclass(frozen=True)
-class PrimePick:
+class PrimePick(Record):
     """A usable prime for the extraction pipeline, plus the soft size bound."""
 
     p: int
@@ -161,8 +158,7 @@ def find_dilator(weights: dict[int, int], p: int) -> int:
     raise AssertionError(f"no dilator found for p={p}; this cannot happen")
 
 
-@dataclass(frozen=True)
-class ExtractionTrace:
+class ExtractionTrace(Record):
     """Everything the extraction pipeline computed, for audit and replay."""
 
     elements: tuple[int, ...]
@@ -179,20 +175,12 @@ class ExtractionTrace:
     within_prime_bound: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "elements": list(self.elements),
-            "n": self.n,
-            "log_weight": self.log_weight,
-            "p": self.p,
-            "k": self.k,
-            "weights": {str(k): v for k, v in self.weights.items()},
-            "total_weight": self.total_weight,
-            "dilator": self.dilator,
-            "dilator_inverse": self.dilator_inverse,
-            "residue_set": self.residue_set.to_json_list(),
-            "subset": self.subset.to_json_list(),
-            "within_prime_bound": self.within_prime_bound,
-        }
+        """The fields in order, with sets as member lists and string weight keys."""
+        out = dict(zip(self._fields, self._values))
+        out.update(elements=list(self.elements),
+                   weights={str(k): v for k, v in self.weights.items()},
+                   residue_set=self.residue_set.to_json_list(), subset=self.subset.to_json_list())
+        return out
 
 
 def extract_sum_free(elements: Iterable[int]) -> ExtractionTrace:
@@ -222,9 +210,8 @@ def extract_sum_free(elements: Iterable[int]) -> ExtractionTrace:
         raise AssertionError("weights lost mass; residue reduction is broken")
     t = find_dilator(weights, p)
     t_inv = pow(t, -1, p)
-    block = middle_block(p)
-    zp = GroupUniverse(make_group([p]))
-    residue_set = ElemSet.from_values(zp, ((t_inv * b) % p for b in block.members()))
+    block = middle_block(p)  # a set of Z_p
+    residue_set = ElemSet.from_values(block.universe, ((t_inv * b) % p for b in block.members()))
     chosen = set(residue_set.members())
     picked = [a for a in elems if a % p in chosen]
     subset = ElemSet.from_values(IntervalUniverse(1, max(elems)), picked)

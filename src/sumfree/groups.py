@@ -8,27 +8,24 @@ enumeration order, sharding and golden files are deterministic.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Sequence
 
+from ._record import Record
 from .arith import partitions, prime_factors
-from .errors import CapacityError
+from .errors import DEFAULT_MAX_ORDER, CapacityError
+from .universe import _rotate
 
-DEFAULT_MAX_ORDER = 1 << 20
 
-
-@dataclass(frozen=True)
-class Element:
+class Element(Record):
     """A group element: residue coordinates plus the canonical index."""
 
     coords: tuple[int, ...]
     index: int
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Record):
     """A finite abelian group Z_m1 x Z_m2 x ... under componentwise addition."""
 
     moduli: tuple[int, ...]
@@ -268,14 +265,6 @@ def _orbit_partition(images: Callable[[int], Iterable[int]],
     return tuple(out)
 
 
-def _rotate(mask: int, steps: tuple[tuple[int, int, int], ...]) -> int:
-    """Apply block rotations (GroupSpec.translation_steps) to an index mask."""
-    for low, up, down in steps:
-        part = mask & low
-        mask = (part << up) | ((mask ^ part) >> down)
-    return mask
-
-
 def make_group(moduli: Iterable[int]) -> GroupSpec:
     """Build a GroupSpec, validating moduli and the order cap."""
     mods = tuple(moduli)
@@ -295,8 +284,7 @@ def group_from_json(data: dict) -> GroupSpec:
     return make_group(data["moduli"])
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Record):
     """A verified subgroup, stored as the frozenset of member indices.
 
     The identity is always a member, which is why members are raw indices

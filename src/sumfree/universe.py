@@ -25,11 +25,13 @@ interval, a slot above s), and excluded(c, slot) bounds how much of c a
 sum-free set holding that element must leave out.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 
-from .groups import GroupSpec, _rotate
+from ._record import Record
+
+if TYPE_CHECKING:
+    from .groups import GroupSpec
 
 # Masks at least this wide are built and read through bytes:
 # per-bit big-int steps would cost O(width) each.  Narrower masks keep the
@@ -38,8 +40,15 @@ _WIDE_MASK_BITS = 2048
 _NONZERO_BYTES = bytes([0] + [1] * 255)  # translation table: nonzero bytes to 1
 
 
-@dataclass(frozen=True)
-class IntervalUniverse:
+def _rotate(mask: int, steps: tuple[tuple[int, int, int], ...]) -> int:
+    """Apply block rotations (GroupSpec.translation_steps) to an index mask."""
+    for low, up, down in steps:
+        part = mask & low
+        mask = (part << up) | ((mask ^ part) >> down)
+    return mask
+
+
+class IntervalUniverse(Record):
     """Integers lo..hi (1 <= lo <= hi) under ordinary addition."""
 
     lo: int
@@ -103,11 +112,10 @@ class IntervalUniverse:
         return f"interval[{self.lo},{self.hi}]"
 
 
-@dataclass(frozen=True)
-class GroupUniverse:
+class GroupUniverse(Record):
     """A finite abelian group; the ground set excludes the identity."""
 
-    group: GroupSpec
+    group: "GroupSpec"
 
     @property
     def ground_size(self) -> int:
@@ -197,8 +205,7 @@ class GroupUniverse:
 Universe = Union[IntervalUniverse, GroupUniverse]
 
 
-@dataclass(frozen=True)
-class ElemSet:
+class ElemSet(Record):
     """An immutable subset of a universe, stored as a membership bit mask."""
 
     universe: Universe

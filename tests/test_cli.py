@@ -155,6 +155,23 @@ def test_shard_count_capped_before_any_walk(capsys, monkeypatch):
     assert code == 0 and out == "n,f,log2_f,half_n,ratio,parity\n"
 
 
+def test_sweep_intervals_refuses_a_negative_bound(capsys):
+    for n_max in ("-1", "-40"):
+        code, out, err = run(capsys, "sweep-intervals", "--n-max", n_max)
+        assert (code, out) == (2, "") and f"--n-max must be >= 0, got {n_max}" in err
+    code, out, _ = run(capsys, "sweep-intervals", "--n-max", "0", "--format", "json")
+    assert (code, out) == (0, "[]\n")
+
+
+def test_sweep_groups_refuses_a_negative_bound(capsys):
+    for check in ("lev", "mu", "giudici2"):
+        code, out, err = run(capsys, "sweep-groups", "--max-order", "-3", "--check", check)
+        assert (code, out) == (2, "") and "--max-order must be >= 0, got -3" in err
+    for max_order in ("0", "1"):  # no group of order 2 or more: the header alone
+        code, out, _ = run(capsys, "sweep-groups", "--max-order", max_order, "--check", "lev")
+        assert (code, out) == (0, "moduli,order,leading,f,ratio,ratio_float\n")
+
+
 def test_count_two_wise_flag(capsys):
     code, out, _ = run(capsys, "count", "--interval", "5", "--2wise",
                        "--format", "json")

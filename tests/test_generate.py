@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -166,5 +167,9 @@ def test_trace_serialization_roundtrip():
     d = tr.to_json_dict()
     assert d["subset"] == list(tr.subset.members())
     assert d["p"] == tr.p and d["dilator"] == tr.dilator
-    assert set(d) >= {"elements", "n", "log_weight", "k", "weights",
-                      "total_weight", "residue_set", "within_prime_bound"}
+    assert list(d) == ["elements", "n", "log_weight", "p", "k", "weights", "total_weight",
+                       "dilator", "dilator_inverse", "residue_set", "subset",
+                       "within_prime_bound"]
+    assert d["elements"] == [3, 8, 20] and all(type(k) is str for k in d["weights"])
+    assert d["residue_set"] == list(tr.residue_set.members())
+    assert json.loads(json.dumps(d)) == d

@@ -66,7 +66,8 @@ def test_unknown_attribute_raises_attribute_error():
         exec("from sumfree import count_everything", {})
 
 
-# runs an entry point in a fresh interpreter and prints the sumfree modules it loaded
+# runs an entry point in a fresh interpreter and prints the sumfree modules it
+# loaded, and dataclasses and inspect if it loaded them
 _LOADED = """
 import contextlib, io, json, sys
 from sumfree.cli import build_parser, main
@@ -74,7 +75,8 @@ build_parser()
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         main(sys.argv[1:])
-print(json.dumps(sorted(m for m in sys.modules if m == "sumfree" or m.startswith("sumfree."))))
+print(json.dumps(sorted(m for m in sys.modules if m in ("sumfree", "dataclasses", "inspect")
+                        or m.startswith("sumfree."))))
 """
 
 
@@ -93,3 +95,21 @@ def test_entry_points_load_only_what_they_run(tmp_path):
     path.write_text("[1, 4]")
     assert not _loaded("verify", "--interval", "5", "--set", str(path)) & {
         "enumeration", "analysis"}
+
+
+def test_no_entry_point_loads_dataclasses_and_interval_jobs_load_no_groups(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text("[1, 4]")
+    interval_jobs = [["count", "--interval", "6", "--maximal", "--2wise"],
+                     ["sweep-intervals", "--n-max", "6", "--shards", "2"],
+                     ["verify", "--interval", "5", "--set", str(path)]]
+    other_jobs = [[], ["count", "--group", "2,3"],
+                  ["sweep-groups", "--max-order", "6", "--check", "mu"],
+                  ["verify", "--group", "7", "--set", str(path)],
+                  ["extract", str(path), "--trace"],
+                  ["random", "--seed-element", "1", "--target", "3", "--range", "20"]]
+    for argv in interval_jobs + other_jobs:
+        loaded = _loaded(*argv)
+        assert "cli" in loaded and not loaded & {"dataclasses", "inspect"}, argv
+        if argv in interval_jobs:
+            assert "groups" not in loaded, argv
