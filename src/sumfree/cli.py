@@ -27,11 +27,10 @@ import math
 import sys
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .errors import DEFAULT_MAX_ORDER, CapacityError, GenerationTimeout
+from .errors import (DEFAULT_GROUND_CAP, DEFAULT_MAX_ORDER, MAXIMUM_CAP, CapacityError,
+                     GenerationTimeout)
 
 if TYPE_CHECKING:
-    from types import ModuleType
-
     from .groups import GroupSpec
 
 # Each command imports the modules it runs when it runs, so that building the
@@ -124,10 +123,6 @@ def cmd_verify(args) -> int:
                            is_two_wise_sum_free)
 
     u = _universe_from_args(args)
-    if u.ground_size > DEFAULT_MAX_ORDER:  # group orders are capped by make_group
-        raise CapacityError(
-            f"{u.describe()} has {u.ground_size} elements, cap is {DEFAULT_MAX_ORDER}"
-        )
     s = ElemSet.from_values(u, _read_int_array(args.set))
     sf = is_sum_free(u, s)
     report = {
@@ -234,13 +229,11 @@ def _index2_row(g: GroupSpec) -> dict:
 
 def _lev_row(g: GroupSpec) -> dict:
     from .analysis import even_order_leading_term
-    from .enumeration import count_sum_free
-    from .universe import GroupUniverse
 
     if g.order % 2:
         return dict.fromkeys(("leading", "f", "ratio", "ratio_float"), "n/a")
-    leading, ratio = even_order_leading_term(g)
-    return {"leading": leading, "f": count_sum_free(GroupUniverse(g)), "ratio": str(ratio),
+    leading, ratio = even_order_leading_term(g)  # ratio = f / leading exactly
+    return {"leading": leading, "f": int(ratio * leading), "ratio": str(ratio),
             "ratio_float": f"{float(ratio):.6f}"}
 
 
@@ -260,32 +253,27 @@ def _giudici2_rows(max_order: int) -> Callable[[GroupSpec], dict]:
     return lambda g: {"pairs": ";".join(pairs.get(g.moduli, []))}
 
 
-# check -> (its columns, the largest ground size it takes, read off the
-# enumeration and groups modules, and a function of max_order giving the row
-# builder); the scans walk to depth 1 or 2, so only the order cap of
-# make_group bounds them
-GROUP_CHECKS: dict[str, tuple[list[str], Callable[[ModuleType, ModuleType], int],
-                              Callable[[int], Callable[[GroupSpec], dict]]]] = {
-    "mu": (["mu", "mu_float", "v", "v_case", "agree"], lambda e, _: e.MAXIMUM_CAP,
-           lambda _: _mu_row),
-    "index2": (["subgroups", "expected", "coset_equality"], lambda e, _: e.MAXIMUM_CAP,
-               lambda _: _index2_row),
-    "lev": (["leading", "f", "ratio", "ratio_float"], lambda e, _: e.DEFAULT_GROUND_CAP,
-            lambda _: _lev_row),
-    "giudici1": (["witnesses"], lambda _, g: g.DEFAULT_MAX_ORDER - 1, _giudici1_rows),
-    "giudici2": (["pairs"], lambda _, g: g.DEFAULT_MAX_ORDER - 1, _giudici2_rows),
+# check -> (its columns, its largest ground size, and a function of max_order
+# giving the row builder); the scans walk to depth 1 or 2, so make_group bounds them
+GROUP_CHECKS: dict[str, tuple[list[str], int, Callable[[int], Callable[[GroupSpec], dict]]]] = {
+    "mu": (["mu", "mu_float", "v", "v_case", "agree"], MAXIMUM_CAP, lambda _: _mu_row),
+    "index2": (["subgroups", "expected", "coset_equality"], MAXIMUM_CAP, lambda _: _index2_row),
+    "lev": (["leading", "f", "ratio", "ratio_float"], DEFAULT_GROUND_CAP, lambda _: _lev_row),
+    "giudici1": (["witnesses"], DEFAULT_MAX_ORDER - 1, _giudici1_rows),
+    "giudici2": (["pairs"], DEFAULT_MAX_ORDER - 1, _giudici2_rows),
 }
 
 
 def group_sweep_rows(max_order: int, check: str) -> tuple[list[str], list[dict]]:
+    # enumeration, the largest module, is compiled first, while the fewest
+    # objects are alive: compiled after groups it raised the job's peak RSS
     from . import enumeration, groups
 
     if check not in GROUP_CHECKS:
         raise ValueError(f"unknown check {check!r}")
     if max_order < 0:
         raise ValueError(f"--max-order must be >= 0, got {max_order}")
-    fields, cap_of, builder = GROUP_CHECKS[check]
-    cap = cap_of(enumeration, groups)
+    fields, cap, builder = GROUP_CHECKS[check]
     if max_order - 1 > cap:  # before the first row, not when the sweep gets there
         raise CapacityError(
             f"check {check} to order {max_order} needs ground size {max_order - 1}, "
@@ -318,11 +306,6 @@ def cmd_extract(args) -> int:
 def cmd_random(args) -> int:
     from .generate import RandomGenConfig, random_sum_free
 
-    if args.range > DEFAULT_MAX_ORDER:  # every draw builds a mask this wide
-        raise CapacityError(
-            f"random range [1,{args.range}] has {args.range} elements, "
-            f"cap is {DEFAULT_MAX_ORDER}"
-        )
     cfg = RandomGenConfig(
         seed_element=args.seed_element,
         target_cardinality=args.target,

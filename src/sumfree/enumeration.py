@@ -62,11 +62,9 @@ from .universe import (
     Universe,
     is_sum_free,
 )
-from .errors import CapacityError
+from .errors import DEFAULT_GROUND_CAP, MAXIMUM_CAP, CapacityError
 
 NAIVE_CAP = 25
-DEFAULT_GROUND_CAP = 40
-MAXIMUM_CAP = 63  # the maximum search reaches every group of order 64
 TWO_WISE_CAP = 18
 SHARD_CAP = 4096  # each shard costs a root and a result row, walked or not
 

@@ -1,6 +1,12 @@
-"""Exception types and the size cap shared across the package."""
+"""Exception types and the size caps that more than one module reads.
+
+Each cap is checked only by what would allocate or walk for the input:
+make_group, IntervalUniverse, RandomGenConfig or an enumeration walker.
+"""
 
 DEFAULT_MAX_ORDER = 1 << 20  # the largest group order, and the widest mask a command builds
+DEFAULT_GROUND_CAP = 40  # the ground size of a full walk
+MAXIMUM_CAP = 63  # the maximum search reaches every group of order 64
 
 
 class CapacityError(Exception):

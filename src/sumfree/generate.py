@@ -16,8 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from ._record import Record
 from .arith import is_prime
-from .construct import middle_block
-from .errors import GenerationTimeout
+from .errors import DEFAULT_MAX_ORDER, CapacityError, GenerationTimeout
 from .universe import ElemSet, IntervalUniverse
 
 import random
@@ -40,6 +39,9 @@ class RandomGenConfig(Record):
     rng_seed: int = 0
 
     def __post_init__(self):
+        if self.sample_hi > DEFAULT_MAX_ORDER:  # every draw builds a mask this wide
+            raise CapacityError(f"random range [1,{self.sample_hi}] has {self.sample_hi} "
+                                f"elements, cap is {DEFAULT_MAX_ORDER}")
         if self.target_cardinality < 1:
             raise ValueError("target cardinality must be >= 1")
         if not 1 <= self.seed_element <= self.sample_hi:
@@ -149,6 +151,8 @@ def find_dilator(weights: dict[int, int], p: int) -> int:
     Existence is guaranteed by averaging: dilation is a bijection on
     nonzero residues and the block holds k+1 of the 3k+1 of them.
     """
+    from .construct import middle_block  # here, so that random loads no construct or groups
+
     block = set(middle_block(p).members())
     total = sum(weights.values())
     for t in range(1, p):
@@ -200,6 +204,7 @@ def extract_sum_free(elements: Iterable[int]) -> ExtractionTrace:
         raise ValueError("elements must be positive integers")
     if len(set(elems)) != len(elems):
         raise ValueError("elements must be distinct")
+    u = IntervalUniverse(1, elems[-1])  # refuses an input too wide for its subset's mask
     n = len(elems)
     pick = find_prime(elems)
     p = pick.p
@@ -210,11 +215,13 @@ def extract_sum_free(elements: Iterable[int]) -> ExtractionTrace:
         raise AssertionError("weights lost mass; residue reduction is broken")
     t = find_dilator(weights, p)
     t_inv = pow(t, -1, p)
+    from .construct import middle_block
+
     block = middle_block(p)  # a set of Z_p
     residue_set = ElemSet.from_values(block.universe, ((t_inv * b) % p for b in block.members()))
     chosen = set(residue_set.members())
     picked = [a for a in elems if a % p in chosen]
-    subset = ElemSet.from_values(IntervalUniverse(1, max(elems)), picked)
+    subset = ElemSet.from_values(u, picked)
     if 3 * subset.cardinality <= n:
         raise AssertionError("extracted subset too small; dilator search is broken")
     return ExtractionTrace(

@@ -29,6 +29,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 
 from ._record import Record
+from .errors import DEFAULT_MAX_ORDER, CapacityError
 
 if TYPE_CHECKING:
     from .groups import GroupSpec
@@ -57,6 +58,9 @@ class IntervalUniverse(Record):
     def __post_init__(self):
         if not 1 <= self.lo <= self.hi:
             raise ValueError(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
+        if self.ground_size > DEFAULT_MAX_ORDER:  # every set of it builds a mask this wide
+            raise CapacityError(f"{self.describe()} has {self.ground_size} elements, "
+                                f"cap is {DEFAULT_MAX_ORDER}")
 
     @property
     def ground_size(self) -> int:

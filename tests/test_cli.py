@@ -331,6 +331,22 @@ def test_extract_command(tmp_path, capsys):
     assert trace["subset"] == [2, 3]
 
 
+def test_extract_cap_checked_before_any_work(tmp_path, capsys, monkeypatch):
+    import sumfree.generate
+
+    def no_prime(*args, **kwargs):
+        raise AssertionError("prime searched although the input is refused")
+
+    monkeypatch.setattr(sumfree.generate, "find_prime", no_prime)
+    f = tmp_path / "a.json"
+    for top in (DEFAULT_MAX_ORDER + 1, 10 ** 14):
+        f.write_text(json.dumps([1, top]))
+        code, out, err = run(capsys, "extract", str(f))
+        assert (code, out) == (3, "")
+        assert err == (f"capacity: interval[1,{top}] has {top} elements, "
+                       f"cap is {DEFAULT_MAX_ORDER}\n")
+
+
 def test_extract_rejects_json_booleans(tmp_path, capsys):
     f = tmp_path / "a.json"
     f.write_text("[true, 4]")
@@ -417,12 +433,21 @@ _SET_FILES = st.one_of(
     st.lists(st.integers(-3, 25), max_size=6).map(json.dumps),
     st.sampled_from(["[true, 2]", "[1, 4", "{}", "[1.5]", "7", ""]),
 )
+# extract inputs: small positive lists, lists with one element past the cap,
+# and the set files above (empty, non-positive, duplicate and malformed)
+_EXTRACT_FILES = st.one_of(
+    st.lists(st.integers(1, 60), min_size=1, max_size=8, unique=True).map(json.dumps),
+    st.tuples(st.lists(st.integers(1, 60), max_size=4, unique=True),
+              st.integers(DEFAULT_MAX_ORDER + 1, 10 ** 9)).map(
+        lambda t: json.dumps([t[1], *t[0]])),
+    _SET_FILES,
+)
 
 
 @st.composite
 def _cli_argv(draw):
     command = draw(st.sampled_from(["count", "sweep-intervals", "sweep-groups", "verify",
-                                    "random"]))
+                                    "random", "extract"]))
     if command == "count":
         return ["count", *draw(_UNIVERSE_ARGS), *draw(_FLAGS), *draw(_SHARD_ARGS)]
     if command == "sweep-intervals":
@@ -433,17 +458,19 @@ def _cli_argv(draw):
         return ["sweep-groups", "--max-order", str(order), "--check", check]
     if command == "verify":
         return ["verify", *draw(_UNIVERSE_ARGS), "--set", draw(_SET_FILES)]
+    if command == "extract":
+        return ["extract", *draw(st.sampled_from([[], ["--trace"]])), draw(_EXTRACT_FILES)]
     numbers = st.integers(-2, 25)
     return ["random", "--seed-element", str(draw(numbers)), "--target", str(draw(numbers)),
             "--range", str(draw(_SIZES)), "--seed", str(draw(numbers)),
             "--max-iterations", str(draw(st.integers(-2, 500)))]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=240, deadline=None)  # 40 per command
 @given(_cli_argv())
 def test_every_command_exits_with_a_documented_code(argv):
     with tempfile.TemporaryDirectory() as tmp:
-        if argv[0] == "verify":  # the drawn text becomes the set file
+        if argv[0] in ("verify", "extract"):  # the drawn text becomes the set file
             path = os.path.join(tmp, "set.json")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(argv[-1])

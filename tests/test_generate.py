@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from sumfree.errors import GenerationTimeout
+import sumfree.generate
+from sumfree.errors import DEFAULT_MAX_ORDER, CapacityError, GenerationTimeout
 from sumfree.generate import (
     RandomGenConfig,
     extract_sum_free,
@@ -27,6 +28,18 @@ def test_config_validation():
     RandomGenConfig(seed_element=1, target_cardinality=5, sample_hi=10)
     with pytest.raises(ValueError, match="target 6 is out of reach"):
         RandomGenConfig(seed_element=1, target_cardinality=6, sample_hi=10)
+
+
+def test_config_refuses_a_range_above_the_cap_before_its_other_checks():
+    RandomGenConfig(seed_element=1, target_cardinality=1, sample_hi=DEFAULT_MAX_ORDER)
+    size = DEFAULT_MAX_ORDER + 1
+    # a bad target, seed element or pass count is not reported first
+    for target, seed_element, passes in ((1, 1, 1), (0, 1, 1), (1, size + 1, 1), (1, 1, 0)):
+        with pytest.raises(CapacityError) as info:
+            RandomGenConfig(seed_element=seed_element, target_cardinality=target,
+                            sample_hi=size, max_iterations=passes)
+        assert str(info.value) == (f"random range [1,{size}] has {size} elements, "
+                                   f"cap is {DEFAULT_MAX_ORDER}")
 
 
 def test_random_sum_free_target_one_is_immediate():
@@ -148,6 +161,18 @@ def test_extract_validation():
         extract_sum_free([0, 3])
     with pytest.raises(ValueError):
         extract_sum_free([4, 4])
+
+
+def test_extract_refuses_an_element_above_the_cap_before_any_work(monkeypatch):
+    def no_prime(*args, **kwargs):
+        raise AssertionError("prime searched although the input is refused")
+
+    monkeypatch.setattr(sumfree.generate, "find_prime", no_prime)
+    for elements in ([1, DEFAULT_MAX_ORDER + 1], [10 ** 14, 3, 5]):
+        with pytest.raises(CapacityError, match=f"cap is {DEFAULT_MAX_ORDER}"):
+            extract_sum_free(elements)
+    with pytest.raises(AssertionError, match="prime searched"):  # at the cap it goes on
+        extract_sum_free([1, DEFAULT_MAX_ORDER])
 
 
 def test_extract_battery():

@@ -113,3 +113,5 @@ def test_no_entry_point_loads_dataclasses_and_interval_jobs_load_no_groups(tmp_p
         assert "cli" in loaded and not loaded & {"dataclasses", "inspect"}, argv
         if argv in interval_jobs:
             assert "groups" not in loaded, argv
+        if argv[:1] == ["random"]:  # it draws from an interval: no group, no construction
+            assert not loaded & {"groups", "construct"}, argv

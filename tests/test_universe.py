@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sumfree.enumeration import enumerate_sum_free
+from sumfree.errors import DEFAULT_MAX_ORDER, CapacityError
 from sumfree.groups import abelian_groups_of_order, make_group
 from sumfree.universe import (
     ElemSet,
@@ -35,6 +36,16 @@ def test_universe_validation():
     assert g.ground_size == 3
     with pytest.raises(ValueError):
         ElemSet.from_values(g, [4])
+
+
+def test_interval_universe_refuses_more_elements_than_the_cap():
+    assert IntervalUniverse(7, DEFAULT_MAX_ORDER + 6).ground_size == DEFAULT_MAX_ORDER
+    for lo, hi in ((1, DEFAULT_MAX_ORDER + 1), (10, DEFAULT_MAX_ORDER + 10), (1, 10 ** 14)):
+        with pytest.raises(CapacityError) as info:
+            IntervalUniverse(lo, hi)
+        size = hi - lo + 1
+        assert str(info.value) == (f"interval[{lo},{hi}] has {size} elements, "
+                                   f"cap is {DEFAULT_MAX_ORDER}")
 
 
 def test_universe_mismatch_error():
