@@ -10,7 +10,6 @@ from typing import Optional
 
 from ._record import Record
 from .arith import divisors, is_prime, prime_factors
-from .construct import middle_third, outer_bands
 from .enumeration import count_sum_free, enumerate_maximum, maximal_sets_of_size
 from .groups import Element, GroupSpec, abelian_groups_of_order, index2_subgroups
 from .universe import (
@@ -116,6 +115,8 @@ def weighted_density_check(n: int) -> WeightedDensityReport:
     from the second band, so the trivial subgroup case d = n is vacuous
     and skipped by convention.  Exact rational arithmetic throughout.
     """
+    from .construct import middle_third, outer_bands
+
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     band1 = set(middle_third(n).members())
@@ -200,23 +201,22 @@ def _maximal_of_size(g: GroupSpec, size: int) -> list[ElemSet]:
     return found
 
 
+def _singleton_witnesses(g: GroupSpec) -> tuple[Element, ...]:
+    """The elements whose singleton is maximal sum-free in g (each has prime order)."""
+    witnesses = tuple(g.element_at(s.members()[0]) for s in _maximal_of_size(g, 1))
+    for w in witnesses:
+        if not is_prime(g.element_order(w)):
+            raise AssertionError(f"witness {w.index} in {g.moduli} has composite order")
+    return witnesses
+
+
 def singleton_maximal_groups(
     max_order: int,
 ) -> list[tuple[GroupSpec, tuple[Element, ...]]]:
     """Abelian groups of order 2..max_order holding a maximal sum-free
     singleton, with their witnesses (each witness has prime order)."""
-    out = []
-    for order in range(2, max_order + 1):
-        for g in abelian_groups_of_order(order):
-            witnesses = tuple(g.element_at(s.members()[0]) for s in _maximal_of_size(g, 1))
-            if witnesses:
-                for w in witnesses:
-                    if not is_prime(g.element_order(w)):
-                        raise AssertionError(
-                            f"witness {w.index} in {g.moduli} has composite order"
-                        )
-                out.append((g, witnesses))
-    return out
+    return [(g, witnesses) for order in range(2, max_order + 1)
+            for g in abelian_groups_of_order(order) if (witnesses := _singleton_witnesses(g))]
 
 
 def pair_maximal_groups(max_order: int) -> list[tuple[GroupSpec, ElemSet]]:

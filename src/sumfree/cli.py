@@ -177,15 +177,15 @@ def cmd_count(args) -> int:
     return 0
 
 
-def interval_sweep_rows(n_max: int, shard_count: int) -> list[dict]:
+def interval_sweep_rows(n_max: int) -> list[dict]:
     from .enumeration import count_by_largest
     from .universe import IntervalUniverse
 
     if n_max < 0:
         raise ValueError(f"--n-max must be >= 0, got {n_max}")
-    # one walk of [1, n_max]: f(n) counts the sets whose largest element is <= n;
-    # at least [1, 1], so that the shard count is checked for n_max 0 too
-    by_top = count_by_largest(IntervalUniverse(1, max(n_max, 1)), shard_count)
+    # one walk of [1, n_max] (at least [1, 1], as no interval is empty):
+    # f(n) counts the sets whose largest element is <= n
+    by_top = count_by_largest(IntervalUniverse(1, max(n_max, 1)))
     rows = []
     f = by_top[0]
     for n in range(1, n_max + 1):
@@ -205,7 +205,7 @@ def interval_sweep_rows(n_max: int, shard_count: int) -> list[dict]:
 
 def cmd_sweep_intervals(args) -> int:
     _emit_rows(["n", "f", "log2_f", "half_n", "ratio", "parity"],
-               interval_sweep_rows(args.n_max, args.shards), args.format, args.out)
+               interval_sweep_rows(args.n_max), args.format, args.out)
     return 0
 
 
@@ -237,30 +237,27 @@ def _lev_row(g: GroupSpec) -> dict:
             "ratio_float": f"{float(ratio):.6f}"}
 
 
-def _giudici1_rows(max_order: int) -> Callable[[GroupSpec], dict]:
-    from .analysis import singleton_maximal_groups
+def _giudici1_row(g: GroupSpec) -> dict:
+    from .analysis import _singleton_witnesses
 
-    hits = {g.moduli: wits for g, wits in singleton_maximal_groups(max_order)}
-    return lambda g: {"witnesses": ";".join(str(w.index) for w in hits.get(g.moduli, ()))}
-
-
-def _giudici2_rows(max_order: int) -> Callable[[GroupSpec], dict]:
-    from .analysis import pair_maximal_groups
-
-    pairs: dict[tuple[int, ...], list[str]] = {}
-    for g, s in pair_maximal_groups(max_order):
-        pairs.setdefault(g.moduli, []).append(":".join(str(v) for v in s.members()))
-    return lambda g: {"pairs": ";".join(pairs.get(g.moduli, []))}
+    return {"witnesses": ";".join(str(w.index) for w in _singleton_witnesses(g))}
 
 
-# check -> (its columns, its largest ground size, and a function of max_order
-# giving the row builder); the scans walk to depth 1 or 2, so make_group bounds them
-GROUP_CHECKS: dict[str, tuple[list[str], int, Callable[[int], Callable[[GroupSpec], dict]]]] = {
-    "mu": (["mu", "mu_float", "v", "v_case", "agree"], MAXIMUM_CAP, lambda _: _mu_row),
-    "index2": (["subgroups", "expected", "coset_equality"], MAXIMUM_CAP, lambda _: _index2_row),
-    "lev": (["leading", "f", "ratio", "ratio_float"], DEFAULT_GROUND_CAP, lambda _: _lev_row),
-    "giudici1": (["witnesses"], DEFAULT_MAX_ORDER - 1, _giudici1_rows),
-    "giudici2": (["pairs"], DEFAULT_MAX_ORDER - 1, _giudici2_rows),
+def _giudici2_row(g: GroupSpec) -> dict:
+    from .analysis import _maximal_of_size
+
+    return {"pairs": ";".join(":".join(str(v) for v in s.members())
+                              for s in _maximal_of_size(g, 2))}
+
+
+# check -> (its columns, its largest ground size, its row as a function of one
+# group); the scans walk to depth 1 or 2, so make_group bounds them
+GROUP_CHECKS: dict[str, tuple[list[str], int, Callable[[GroupSpec], dict]]] = {
+    "mu": (["mu", "mu_float", "v", "v_case", "agree"], MAXIMUM_CAP, _mu_row),
+    "index2": (["subgroups", "expected", "coset_equality"], MAXIMUM_CAP, _index2_row),
+    "lev": (["leading", "f", "ratio", "ratio_float"], DEFAULT_GROUND_CAP, _lev_row),
+    "giudici1": (["witnesses"], DEFAULT_MAX_ORDER - 1, _giudici1_row),
+    "giudici2": (["pairs"], DEFAULT_MAX_ORDER - 1, _giudici2_row),
 }
 
 
@@ -273,12 +270,11 @@ def group_sweep_rows(max_order: int, check: str) -> tuple[list[str], list[dict]]
         raise ValueError(f"unknown check {check!r}")
     if max_order < 0:
         raise ValueError(f"--max-order must be >= 0, got {max_order}")
-    fields, cap, builder = GROUP_CHECKS[check]
+    fields, cap, row = GROUP_CHECKS[check]
     if max_order - 1 > cap:  # before the first row, not when the sweep gets there
         raise CapacityError(
             f"check {check} to order {max_order} needs ground size {max_order - 1}, "
             f"cap is {cap}")
-    row = builder(max_order)
     rows = [
         {"moduli": _moduli_label(g.moduli), "order": n, **row(g)}
         for n in range(2, max_order + 1)
@@ -344,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-intervals", help="counts for [1, n], n = 1..n_max")
     p.add_argument("--n-max", type=int, default=33)
-    p.add_argument("--shards", type=int, default=1)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep_intervals)

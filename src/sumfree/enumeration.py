@@ -410,18 +410,17 @@ def count_sum_free_sharded(u: Universe, shard_index: int, shard_count: int) -> i
     return 0 if root is None else _walk(u.forbid, None, u.ground_mask, *root)
 
 
-def count_by_largest(u: IntervalUniverse, shard_count: int = 1) -> list[int]:
-    """Sum-free subsets of [lo, hi] by largest element, one transfer per shard root.
+def count_by_largest(u: IntervalUniverse) -> list[int]:
+    """Sum-free subsets of [lo, hi] by largest element, from one transfer.
 
     Entry 0 counts the empty set and entry i the sets whose largest
     element is lo + i - 1.  The sum-free subsets of [lo, n] are exactly
     those with largest element at most n, so the prefix sums are the
-    counts of every [lo, n], n <= hi, whatever the shard_count.
+    counts of every [lo, n], n <= hi.  It is the transfer that
+    count_sum_free sums, kept by largest element.
     """
-    _check_shard_count(shard_count)
     _require_ground(u, DEFAULT_GROUND_CAP)
-    shards = [_interval_walk(u, i, shard_count) for i in range(shard_count)]
-    return [sum(column) for column in zip(*shards)]
+    return _interval_walk(u, 0, 1)
 
 
 def enumerate_maximum(u: Universe) -> list[ElemSet]:

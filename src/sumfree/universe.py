@@ -300,12 +300,7 @@ def is_sum_free(u: Universe, s: ElemSet) -> bool:
 def is_a_free(u: Universe, s: ElemSet, a: ElemSet) -> bool:
     """True iff (s + a) and s are disjoint; is_a_free(u, s, s) is sum-freeness."""
     _check_universe(u, s, a)
-    for x in a.members():
-        for y in s.members():
-            sv = u.sum_value(x, y)
-            if sv is not None and sv in s:
-                return False
-    return True
+    return not any(u.plus(s.mask, x) & s.mask for x in a.members())
 
 
 def is_difference_free(u: Universe, s: ElemSet) -> bool:

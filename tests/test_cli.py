@@ -138,15 +138,14 @@ def test_shard_count_capped_before_any_walk(capsys, monkeypatch):
         monkeypatch.setattr(sumfree.enumeration, name, no_walk)
     assert SHARD_CAP >= 64
     for shards, argv in ((2 * SHARD_CAP, ["count", "--group", "5"]),
-                         (2 * SHARD_CAP, ["count", "--interval", "5", "--maximal"]),
-                         (1 << 30, ["sweep-intervals", "--n-max", "5"])):
+                         (2 * SHARD_CAP, ["count", "--interval", "5", "--maximal"])):
         code, out, err = run(capsys, *argv, "--shards", str(shards))
         assert code == 3 and out == "", argv
         assert f"shard_count {shards} refused, cap is {SHARD_CAP}" in err
-    # a sweep with no rows still checks its shard count
-    for shards, code in ((3, 2), (1 << 30, 3)):
-        got = run(capsys, "sweep-intervals", "--n-max", "0", "--shards", str(shards))
-        assert got[:2] == (code, ""), shards
+    # the sweep has no shard option: argparse refuses it
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep-intervals", "--n-max", "5", "--shards", "2"])
+    assert exit_info.value.code == 2
     # at the cap the count goes on to its walk
     with pytest.raises(AssertionError, match="walker called"):
         main(["count", "--group", "5", "--shards", str(SHARD_CAP)])
@@ -254,11 +253,16 @@ def test_random_cap_checked_before_any_draw(capsys, monkeypatch):
 
 
 def test_sweep_intervals_shard_invariance(capsys):
-    code1, body1, _ = run(capsys, "sweep-intervals", "--n-max", "12")
-    code8, body8, _ = run(capsys, "sweep-intervals", "--n-max", "12",
-                          "--shards", "8")
-    assert code1 == code8 == 0
-    assert body1 == body8
+    from sumfree.enumeration import _interval_walk
+    from sumfree.universe import IntervalUniverse
+
+    code, body, _ = run(capsys, "sweep-intervals", "--n-max", "12")
+    assert code == 0
+    fs = [int(line.split(",")[1]) for line in body.splitlines()[1:]]
+    u = IntervalUniverse(1, 12)
+    for k in (2, 4, 8, 64):  # the shards' sets by largest element add up to each f(n)
+        by_top = [sum(column) for column in zip(*(_interval_walk(u, i, k) for i in range(k)))]
+        assert fs == [sum(by_top[:n + 1]) for n in range(1, 13)], k
 
 
 def test_sweep_intervals_deterministic(capsys):
@@ -274,6 +278,26 @@ def test_sweep_groups_giudici1(capsys):
     flagged = [line for line in out.strip().splitlines()[1:]
                if line.split(",")[2]]
     assert [line.split(",")[0] for line in flagged] == ["2", "3", "4"]
+
+
+def test_sweep_groups_giudici_cells_match_the_scans(capsys):
+    from sumfree.analysis import pair_maximal_groups, singleton_maximal_groups
+    from sumfree.cli import _moduli_label
+
+    witnesses = {_moduli_label(g.moduli): ";".join(str(w.index) for w in wits)
+                 for g, wits in singleton_maximal_groups(24)}
+    pairs: dict[str, list[str]] = {}
+    for g, s in pair_maximal_groups(24):
+        pairs.setdefault(_moduli_label(g.moduli), []).append(":".join(map(str, s.members())))
+    for check, expected in (("giudici1", witnesses),
+                            ("giudici2", {k: ";".join(v) for k, v in pairs.items()})):
+        code, out, _ = run(capsys, "sweep-groups", "--max-order", "24", "--check", check)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) > 24 and all(len(row) == 3 for row in rows)
+        # every group once; its cell is the scans' hits, blank where they have none
+        assert len({moduli for moduli, _, _ in rows}) == len(rows), check
+        assert {moduli: cell for moduli, _, cell in rows if cell} == expected, check
 
 
 def test_sweep_groups_index2_na(capsys):

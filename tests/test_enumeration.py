@@ -11,6 +11,7 @@ from oracles import (
 )
 import sumfree.enumeration
 from sumfree.enumeration import (
+    _interval_walk,
     _tally,
     _walk,
     build_count_record,
@@ -461,12 +462,14 @@ def test_interval_tally_matches_oracle():
 
 
 def test_sharded_sweep_matches_unsharded():
+    # entry by entry, the shards' counts by largest element add up to the sweep's
     for u in (IntervalUniverse(1, 24), IntervalUniverse(3, 17), IntervalUniverse(1, 2)):
         plain = count_by_largest(u)
         for k in (2, 4, 8, 64):
-            assert count_by_largest(u, k) == plain, (u, k)
+            shards = [_interval_walk(u, i, k) for i in range(k)]
+            assert [sum(column) for column in zip(*shards)] == plain, (u, k)
     with pytest.raises(ValueError):
-        count_by_largest(IntervalUniverse(1, 5), 3)
+        count_sum_free_sharded(IntervalUniverse(1, 5), 0, 3)
     with pytest.raises(CapacityError):
         count_by_largest(IntervalUniverse(1, 41))
 

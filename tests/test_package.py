@@ -101,7 +101,7 @@ def test_no_entry_point_loads_dataclasses_and_interval_jobs_load_no_groups(tmp_p
     path = tmp_path / "s.json"
     path.write_text("[1, 4]")
     interval_jobs = [["count", "--interval", "6", "--maximal", "--2wise"],
-                     ["sweep-intervals", "--n-max", "6", "--shards", "2"],
+                     ["sweep-intervals", "--n-max", "6"],
                      ["verify", "--interval", "5", "--set", str(path)]]
     other_jobs = [[], ["count", "--group", "2,3"],
                   ["sweep-groups", "--max-order", "6", "--check", "mu"],
@@ -115,3 +115,5 @@ def test_no_entry_point_loads_dataclasses_and_interval_jobs_load_no_groups(tmp_p
             assert "groups" not in loaded, argv
         if argv[:1] == ["random"]:  # it draws from an interval: no group, no construction
             assert not loaded & {"groups", "construct"}, argv
+        if argv[:1] == ["sweep-groups"]:  # the density check builds no construction
+            assert "construct" not in loaded, argv

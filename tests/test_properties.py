@@ -4,10 +4,11 @@ import json
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sumfree.enumeration import (
+    _interval_walk,
     build_count_record,
     count_by_largest,
     count_sum_free,
@@ -19,6 +20,7 @@ from sumfree.universe import (
     GroupUniverse,
     IntervalUniverse,
     count_schur_triples,
+    is_a_free,
     is_difference_free,
     is_maximal_sum_free,
     is_sum_free,
@@ -51,7 +53,8 @@ def test_histogram_sums_to_count_and_maximal_at_most_count(u):
 def test_shard_totals_sum_to_count(u, k):
     f = count_sum_free(u)
     assert sum(count_sum_free_sharded(u, i, k) for i in range(k)) == f
-    assert sum(count_by_largest(u, k)) == f
+    shards = [_interval_walk(u, i, k) for i in range(k)]
+    assert [sum(column) for column in zip(*shards)] == count_by_largest(u)
 
 
 def _coords(moduli, index):
@@ -90,12 +93,16 @@ small_universes = st.one_of(
 )
 
 
+def _small_set(draw, u):
+    values = list(u.ground_values()) + ([0] if isinstance(u, GroupUniverse) else [])
+    return ElemSet.from_values(u, draw(st.lists(st.sampled_from(values), max_size=9,
+                                                unique=True)))
+
+
 @st.composite
 def small_sets(draw):
     u = draw(small_universes)
-    values = list(u.ground_values()) + ([0] if isinstance(u, GroupUniverse) else [])
-    picked = draw(st.lists(st.sampled_from(values), max_size=9, unique=True))
-    return u, ElemSet.from_values(u, picked)
+    return u, _small_set(draw, u)
 
 
 def _pairs_summing_inside(u, s):
@@ -123,6 +130,16 @@ def test_mask_predicates_match_pairwise_scans(us):
     two_wise = any(all(is_difference_free(u, ElemSet.from_values(u, part)) for part in split)
                    for split in splits)
     assert is_two_wise_sum_free(u, s) == two_wise
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_sets(), st.data())
+def test_a_free_matches_the_pairwise_scan(us, data):
+    u, s = us
+    a = _small_set(data.draw, u)
+    assume(a != s)
+    sums = (u.sum_value(x, y) for x, y in product(a.members(), s.members()))
+    assert is_a_free(u, s, a) == all(v is None or v not in s for v in sums)
 
 
 @settings(max_examples=200, deadline=None)
