@@ -11,7 +11,7 @@ from typing import Optional
 from ._record import Record
 from .arith import divisors, is_prime, prime_factors
 from .enumeration import count_sum_free, enumerate_maximum, maximal_sets_of_size
-from .groups import Element, GroupSpec, abelian_groups_of_order, index2_subgroups
+from .groups import Element, GroupSpec, Subgroup, abelian_groups_of_order, index2_subgroups
 from .universe import (
     ElemSet,
     GroupUniverse,
@@ -71,6 +71,11 @@ def verify_index2_structure(g: GroupSpec) -> Optional[bool]:
     Asserts the two cardinality bounds on the way: no sum-free set
     exceeds half the order, and the coset construction reaches it.
     """
+    return _index2_verdict(g, index2_subgroups(g))
+
+
+def _index2_verdict(g: GroupSpec, subgroups: list[Subgroup]) -> Optional[bool]:
+    """verify_index2_structure(g), given g's index-2 subgroups."""
     order = g.order
     if order % 2 != 0:
         return None
@@ -82,7 +87,7 @@ def verify_index2_structure(g: GroupSpec) -> Optional[bool]:
         frozenset(s.members()) for s in maxima if s.cardinality == order // 2
     }
     full = frozenset(range(order))
-    cosets = {full - h.members for h in index2_subgroups(g)}
+    cosets = {full - h.members for h in subgroups}
     if not cosets:
         raise AssertionError("even order but no index-2 subgroup")
     if max_card < order // 2:

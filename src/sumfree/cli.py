@@ -88,10 +88,14 @@ def _rows_to_csv(fieldnames: list[str], rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _emit_json(value, path: Optional[str], indent: Optional[int] = 2) -> None:
+def _emit_json(value, path: Optional[str]) -> None:
     import json
 
-    _emit(json.dumps(value, indent=indent) + "\n", path)
+    _emit(json.dumps(value, indent=2) + "\n", path)
+
+
+def _emit_int_list(values: list[int], path: Optional[str]) -> None:
+    _emit(f"{values!r}\n", path)  # json.dumps(values), without holding every member's digits
 
 
 def _emit_rows(fieldnames: list[str], rows: list[dict], fmt: str, path: Optional[str]) -> None:
@@ -218,11 +222,12 @@ def _mu_row(g: GroupSpec) -> dict:
 
 
 def _index2_row(g: GroupSpec) -> dict:
-    from .analysis import verify_index2_structure
+    from .analysis import _index2_verdict
     from .groups import index2_subgroups
 
-    ok = verify_index2_structure(g)
-    return {"subgroups": len(index2_subgroups(g)),
+    subgroups = index2_subgroups(g)  # built once, for the check and the count
+    ok = _index2_verdict(g, subgroups)
+    return {"subgroups": len(subgroups),
             "expected": (1 << g.even_component_count()) - 1,
             "coset_equality": "n/a" if ok is None else ok}
 
@@ -295,7 +300,7 @@ def cmd_extract(args) -> int:
     if args.trace:
         _emit_json(trace.to_json_dict(), args.out)
     else:
-        _emit_json(trace.subset.to_json_list(), args.out, None)
+        _emit_int_list(trace.subset.to_json_list(), args.out)
     return 0
 
 
@@ -310,7 +315,7 @@ def cmd_random(args) -> int:
         rng_seed=args.seed,
     )
     s = random_sum_free(cfg)
-    _emit_json(s.to_json_list(), args.out, None)
+    _emit_int_list(s.to_json_list(), args.out)
     return 0
 
 

@@ -12,6 +12,7 @@ so runs are reproducible across platforms for a fixed seed.
 """
 
 import math
+from itertools import count, pairwise
 from typing import Iterable, Optional, Sequence
 
 from ._record import Record
@@ -114,17 +115,16 @@ class PrimePick(Record):
 def find_prime(elements: Sequence[int]) -> PrimePick:
     """Smallest prime p = 2 (mod 3) dividing no input element.
 
-    Also reports whether p <= 3 * l * ln(l) with l = sum(log2(a)); the
-    bound is informational only and never rejects a prime.
+    Each candidate is tried on the products of the input's blocks of 32,
+    built once: a prime divides a product exactly when it divides one of
+    its factors (Euclid's lemma).  Also reports whether p <= 3 * l * ln(l)
+    with l = sum(log2(a)); the bound is informational only.
     """
     if not elements:
         raise ValueError("need at least one element")
     log_weight = sum(math.log2(a) for a in elements)
-    p = 2
-    while True:
-        if p % 3 == 2 and is_prime(p) and all(a % p != 0 for a in elements):
-            break
-        p += 1
+    blocks = [math.prod(elements[i:i + 32]) for i in range(0, len(elements), 32)]
+    p = next(q for q in count(2, 3) if is_prime(q) and all(b % q for b in blocks))
     bound = 3 * log_weight * math.log(log_weight) if log_weight > 1 else None
     return PrimePick(p, log_weight, bound, bound is not None and p <= bound)
 
@@ -146,17 +146,17 @@ def residue_weights(elements: Sequence[int], p: int) -> dict[int, int]:
 
 def find_dilator(weights: dict[int, int], p: int) -> int:
     """Smallest t with more than a third of the weight landing in the
-    middle block of Z_p after dilation by t.
+    middle block {k+1, ..., 2k+1} of Z_p (p = 3k + 2) after dilation by t.
 
     Existence is guaranteed by averaging: dilation is a bijection on
     nonzero residues and the block holds k+1 of the 3k+1 of them.
     """
-    from .construct import middle_block  # here, so that random loads no construct or groups
-
-    block = set(middle_block(p).members())
+    if not is_prime(p) or p % 3 != 2:
+        raise ValueError(f"need a prime p = 2 (mod 3), got {p}")
+    k = (p - 2) // 3
     total = sum(weights.values())
     for t in range(1, p):
-        hit = sum(w for x, w in weights.items() if (t * x) % p in block)
+        hit = sum(w for x, w in weights.items() if k < t * x % p <= 2 * k + 1)
         if 3 * hit > total:
             return t
     raise AssertionError(f"no dilator found for p={p}; this cannot happen")
@@ -200,22 +200,21 @@ def extract_sum_free(elements: Iterable[int]) -> ExtractionTrace:
     elems = tuple(sorted(elements))
     if not elems:
         raise ValueError("need at least one element")
-    if any(a < 1 for a in elems):
+    if elems[0] < 1:
         raise ValueError("elements must be positive integers")
-    if len(set(elems)) != len(elems):
+    if any(a == b for a, b in pairwise(elems)):
         raise ValueError("elements must be distinct")
     u = IntervalUniverse(1, elems[-1])  # refuses an input too wide for its subset's mask
     n = len(elems)
     pick = find_prime(elems)
     p = pick.p
-    k = (p - 2) // 3
     weights = residue_weights(elems, p)
     total = sum(weights.values())
     if total != n:
         raise AssertionError("weights lost mass; residue reduction is broken")
     t = find_dilator(weights, p)
     t_inv = pow(t, -1, p)
-    from .construct import middle_block
+    from .construct import middle_block  # here, so that random loads no construct or groups
 
     block = middle_block(p)  # a set of Z_p
     residue_set = ElemSet.from_values(block.universe, ((t_inv * b) % p for b in block.members()))
@@ -224,17 +223,7 @@ def extract_sum_free(elements: Iterable[int]) -> ExtractionTrace:
     subset = ElemSet.from_values(u, picked)
     if 3 * subset.cardinality <= n:
         raise AssertionError("extracted subset too small; dilator search is broken")
-    return ExtractionTrace(
-        elements=elems,
-        n=n,
-        log_weight=pick.log_weight,
-        p=p,
-        k=k,
-        weights=weights,
-        total_weight=total,
-        dilator=t,
-        dilator_inverse=t_inv,
-        residue_set=residue_set,
-        subset=subset,
-        within_prime_bound=pick.within_bound,
-    )
+    return ExtractionTrace(elements=elems, n=n, log_weight=pick.log_weight, p=p,
+                           k=(p - 2) // 3, weights=weights, total_weight=total, dilator=t,
+                           dilator_inverse=t_inv, residue_set=residue_set, subset=subset,
+                           within_prime_bound=pick.within_bound)

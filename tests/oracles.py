@@ -150,3 +150,14 @@ def interval_tally_oracle(lo: int, hi: int) -> tuple[int, int, dict[int, int], l
                 stack.append((t, sums | new_sums,
                               blocked | {x} | new_sums | {x - a for a in s} | halves))
     return count, len(maximal), dict(sorted(histogram.items())), maximal
+
+
+def first_usable_prime(elements: list[int]) -> int:
+    """The least prime p = 2 (mod 3) dividing no element: each candidate is
+    tested for primality by trial division, then tried on every element."""
+    p = 2
+    while True:
+        if p % 3 == 2 and all(p % d for d in range(2, p)):
+            if all(a % p for a in elements):
+                return p
+        p += 1

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import tempfile
 
 import pytest
@@ -353,6 +354,28 @@ def test_extract_command(tmp_path, capsys):
     trace = json.loads(out)
     assert trace["p"] == 5 and trace["dilator"] == 1
     assert trace["subset"] == [2, 3]
+
+
+def test_extract_and_random_print_the_compact_json_of_their_set(tmp_path, capsys):
+    from sumfree.cli import _emit_int_list
+    from sumfree.generate import RandomGenConfig, extract_sum_free, random_sum_free
+
+    rng = random.Random(18)
+    f = tmp_path / "a.json"
+    for values in ([7], [1, 2, 3], rng.sample(range(1, 10 ** 6), 2000)):
+        f.write_text(json.dumps(values))
+        trace = extract_sum_free(values)
+        code, out, _ = run(capsys, "extract", str(f))
+        assert (code, out) == (0, json.dumps(trace.subset.to_json_list(), indent=None) + "\n")
+        code, out, _ = run(capsys, "extract", str(f), "--trace")
+        assert (code, out) == (0, json.dumps(trace.to_json_dict(), indent=2) + "\n")
+    for element, target, hi, seed in ((7, 1, 100, 3), (3, 40, 1000, 11), (1, 150, 100000, 0)):
+        got = random_sum_free(RandomGenConfig(element, target, hi, rng_seed=seed))
+        code, out, _ = run(capsys, "random", "--seed-element", str(element), "--target",
+                           str(target), "--range", str(hi), "--seed", str(seed))
+        assert (code, out) == (0, json.dumps(got.to_json_list(), indent=None) + "\n")
+    _emit_int_list([], None)
+    assert capsys.readouterr().out == json.dumps([]) + "\n"
 
 
 def test_extract_cap_checked_before_any_work(tmp_path, capsys, monkeypatch):

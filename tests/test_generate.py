@@ -1,7 +1,12 @@
 import json
+import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import first_usable_prime
 
 import sumfree.generate
 from sumfree.errors import DEFAULT_MAX_ORDER, CapacityError, GenerationTimeout
@@ -125,6 +130,42 @@ def test_find_prime_never_divides():
         assert all(a % pick.p != 0 for a in elems)
 
 
+# the primes = 2 (mod 3) below 1000: an input that each of them divides
+# somewhere has its first usable prime past 1000 (1013)
+SMALL_PRIMES_2_MOD_3 = [p for p in range(2, 1000)
+                        if p % 3 == 2 and all(p % d for d in range(2, p))]
+
+
+@st.composite
+def prime_search_inputs(draw):
+    """The first `cut` primes = 2 (mod 3), multiplied in groups, among random
+    extras, all of it doubled or not."""
+    cut = draw(st.integers(0, len(SMALL_PRIMES_2_MOD_3)))
+    width = draw(st.integers(1, 6))
+    covered = SMALL_PRIMES_2_MOD_3[:cut]
+    elements = [math.prod(covered[i:i + width]) for i in range(0, cut, width)]
+    elements += draw(st.lists(st.integers(1, 10 ** 6), min_size=0 if elements else 1,
+                              max_size=80))
+    if draw(st.booleans()):
+        elements = [2 * a for a in elements]
+    return draw(st.permutations(elements))
+
+
+@settings(max_examples=200, deadline=None)
+@given(prime_search_inputs())
+@example([1])
+@example([2 ** 19])
+@example([2, 4, 6, 8, 10, 12])
+@example([2 * 5 * 11 * 17 * 23 * 29 * 41 * 47 * 53 * 59])
+@example(list(range(1, 33)))  # one full block
+@example(list(range(1, 34)))  # a full block and one element
+@example(SMALL_PRIMES_2_MOD_3)  # the answer is past 1000
+@example([math.prod(SMALL_PRIMES_2_MOD_3[i:i + 3])
+          for i in range(0, len(SMALL_PRIMES_2_MOD_3), 3)])
+def test_find_prime_matches_the_per_element_scan(elements):
+    assert find_prime(elements).p == first_usable_prime(elements)
+
+
 def test_residue_weights_examples():
     assert residue_weights([1, 2, 3], 5) == {1: 1, 2: 1, 3: 1, 4: 0}
     w = residue_weights([6, 11], 5)
@@ -163,11 +204,20 @@ def test_extract_validation():
         extract_sum_free([4, 4])
 
 
-def test_extract_refuses_an_element_above_the_cap_before_any_work(monkeypatch):
-    def no_prime(*args, **kwargs):
-        raise AssertionError("prime searched although the input is refused")
+def _no_prime(*args, **kwargs):
+    raise AssertionError("prime searched although the input is refused")
 
-    monkeypatch.setattr(sumfree.generate, "find_prime", no_prime)
+
+def test_extract_refuses_duplicates_before_the_prime_search(monkeypatch):
+    monkeypatch.setattr(sumfree.generate, "find_prime", _no_prime)
+    # the repeats sit at the ends of the sorted input
+    for elements in ([5, 1, 5], [1, 1], [4, 4], [9, 2, 7, 2]):
+        with pytest.raises(ValueError, match="elements must be distinct"):
+            extract_sum_free(elements)
+
+
+def test_extract_refuses_an_element_above_the_cap_before_any_work(monkeypatch):
+    monkeypatch.setattr(sumfree.generate, "find_prime", _no_prime)
     for elements in ([1, DEFAULT_MAX_ORDER + 1], [10 ** 14, 3, 5]):
         with pytest.raises(CapacityError, match=f"cap is {DEFAULT_MAX_ORDER}"):
             extract_sum_free(elements)
@@ -185,6 +235,19 @@ def test_extract_battery():
         assert is_sum_free(tr.subset.universe, tr.subset)
         assert (tr.dilator * tr.dilator_inverse) % tr.p == 1
         assert tr.total_weight == tr.n
+
+
+def test_extract_peak_memory_stays_small():
+    values = random.Random(20).sample(range(1, 10 ** 6), 20_000)
+    extract_sum_free([1, 2, 3])  # modules loaded before tracing
+    tracemalloc.start()
+    try:
+        tr = extract_sum_free(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 3 * tr.subset.cardinality > len(values)
+    assert peak < 1_500_000, peak  # the hash set of the input alone took about 1.7 MB
 
 
 def test_trace_serialization_roundtrip():

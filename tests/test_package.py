@@ -1,7 +1,6 @@
 """The package's exported names and what each entry point imports."""
 
 import importlib
-import json
 import os
 import subprocess
 import sys
@@ -67,16 +66,16 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 # runs an entry point in a fresh interpreter and prints the sumfree modules it
-# loaded, and dataclasses and inspect if it loaded them
+# loaded, and dataclasses, inspect and json if it loaded them
 _LOADED = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from sumfree.cli import build_parser, main
 build_parser()
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         main(sys.argv[1:])
-print(json.dumps(sorted(m for m in sys.modules if m in ("sumfree", "dataclasses", "inspect")
-                        or m.startswith("sumfree."))))
+print(*sorted(m for m in sys.modules if m in ("sumfree", "dataclasses", "inspect", "json")
+              or m.startswith("sumfree.")))
 """
 
 
@@ -85,7 +84,7 @@ def _loaded(*argv: str) -> set[str]:
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
     out = subprocess.run([sys.executable, "-c", _LOADED, *argv], env=env, check=True,
                          capture_output=True, text=True).stdout
-    return {name.removeprefix("sumfree.") for name in json.loads(out)}
+    return {name.removeprefix("sumfree.") for name in out.split()}
 
 
 def test_entry_points_load_only_what_they_run(tmp_path):
@@ -106,7 +105,7 @@ def test_no_entry_point_loads_dataclasses_and_interval_jobs_load_no_groups(tmp_p
     other_jobs = [[], ["count", "--group", "2,3"],
                   ["sweep-groups", "--max-order", "6", "--check", "mu"],
                   ["verify", "--group", "7", "--set", str(path)],
-                  ["extract", str(path), "--trace"],
+                  ["extract", str(path)], ["extract", str(path), "--trace"],
                   ["random", "--seed-element", "1", "--target", "3", "--range", "20"]]
     for argv in interval_jobs + other_jobs:
         loaded = _loaded(*argv)
@@ -114,6 +113,8 @@ def test_no_entry_point_loads_dataclasses_and_interval_jobs_load_no_groups(tmp_p
         if argv in interval_jobs:
             assert "groups" not in loaded, argv
         if argv[:1] == ["random"]:  # it draws from an interval: no group, no construction
-            assert not loaded & {"groups", "construct"}, argv
+            assert not loaded & {"groups", "construct", "json"}, argv  # and reads no JSON
+        if argv[:1] == ["extract"]:
+            assert "analysis" not in loaded, argv
         if argv[:1] == ["sweep-groups"]:  # the density check builds no construction
             assert "construct" not in loaded, argv
