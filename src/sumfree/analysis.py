@@ -10,7 +10,7 @@ from typing import Optional
 
 from ._record import Record
 from .arith import divisors, is_prime, prime_factors
-from .enumeration import count_sum_free, enumerate_maximum, maximal_sets_of_size
+from .enumeration import _maximum, count_sum_free, enumerate_maximum, maximal_sets_of_size
 from .groups import Element, GroupSpec, Subgroup, abelian_groups_of_order, index2_subgroups
 from .universe import (
     ElemSet,
@@ -56,26 +56,21 @@ class DensityReport(Record):
 
 def density_report(g: GroupSpec) -> DensityReport:
     """Measure the maximum sum-free density by exhaustive search."""
-    maxima = enumerate_maximum(GroupUniverse(g))
-    witness = maxima[0]
+    (witness,) = _maximum(GroupUniverse(g), 1)
     mu = Fraction(witness.cardinality, g.order)
     v, case = density_formula(g)
     return DensityReport(g, mu, witness, v, case, mu == v)
 
 
-def verify_index2_structure(g: GroupSpec) -> Optional[bool]:
+def verify_index2_structure(g: GroupSpec,
+                            subgroups: Optional[list[Subgroup]] = None) -> Optional[bool]:
     """Check that the half-order sum-free sets are exactly the nontrivial
-    cosets of the index-2 subgroups.
+    cosets of the index-2 subgroups (subgroups, if the caller has them).
 
     Returns None for odd order (no index-2 subgroup, nothing to check).
     Asserts the two cardinality bounds on the way: no sum-free set
     exceeds half the order, and the coset construction reaches it.
     """
-    return _index2_verdict(g, index2_subgroups(g))
-
-
-def _index2_verdict(g: GroupSpec, subgroups: list[Subgroup]) -> Optional[bool]:
-    """verify_index2_structure(g), given g's index-2 subgroups."""
     order = g.order
     if order % 2 != 0:
         return None
@@ -83,11 +78,9 @@ def _index2_verdict(g: GroupSpec, subgroups: list[Subgroup]) -> Optional[bool]:
     max_card = maxima[0].cardinality
     if max_card > order // 2:
         raise AssertionError("sum-free set above half the group order")
-    half_sets = {
-        frozenset(s.members()) for s in maxima if s.cardinality == order // 2
-    }
-    full = frozenset(range(order))
-    cosets = {full - h.members for h in subgroups}
+    half_sets = {frozenset(s.members()) for s in maxima if s.cardinality == order // 2}
+    cosets = {frozenset(range(order)) - h.members
+              for h in (index2_subgroups(g) if subgroups is None else subgroups)}
     if not cosets:
         raise AssertionError("even order but no index-2 subgroup")
     if max_card < order // 2:
@@ -98,8 +91,7 @@ def _index2_verdict(g: GroupSpec, subgroups: list[Subgroup]) -> Optional[bool]:
 def coset_floor_check(g: GroupSpec) -> bool:
     """Maximum sum-free cardinality reaches order/q, q the least prime divisor."""
     q = sorted(prime_factors(g.order))[0]
-    maxima = enumerate_maximum(GroupUniverse(g))
-    return maxima[0].cardinality >= g.order // q
+    return _maximum(GroupUniverse(g), 1)[0].cardinality >= g.order // q
 
 
 class WeightedDensityReport(Record):

@@ -222,11 +222,11 @@ def _mu_row(g: GroupSpec) -> dict:
 
 
 def _index2_row(g: GroupSpec) -> dict:
-    from .analysis import _index2_verdict
+    from .analysis import verify_index2_structure
     from .groups import index2_subgroups
 
     subgroups = index2_subgroups(g)  # built once, for the check and the count
-    ok = _index2_verdict(g, subgroups)
+    ok = verify_index2_structure(g, subgroups)
     return {"subgroups": len(subgroups),
             "expected": (1 << g.even_component_count()) - 1,
             "coset_equality": "n/a" if ok is None else ok}

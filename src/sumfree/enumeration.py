@@ -1,13 +1,9 @@
 """Exhaustive enumeration and counting of sum-free subsets.
 
-Two algorithms back everything here:
-
-* a naive binary-counter reference that tests every subset with the
-  generic predicate (kept deliberately dumb, it is the oracle);
-* a backtracking walk of the family of sum-free sets.  The family is
-  closed under taking subsets, so the walk extends the current set only
-  by elements that keep it sum-free and never visits a set that is not
-  sum-free.
+A naive binary-counter reference tests every subset with the generic
+predicate (kept deliberately dumb, it is the oracle).  Everything else
+walks the family of sum-free sets, which is closed under taking subsets:
+a walk extends its set only by elements that keep it sum-free.
 
 The walk maintains a "forbidden" bit mask per node, and the universe
 gives its step (forbid, with excluded for the maximum search's bound;
@@ -37,13 +33,15 @@ stands for |orbit| / m sets.  The stabiliser of r splits the candidates
 of {r} into orbits in turn (GroupSpec.stabiliser_orbits): one walk per
 orbit Q of two or more candidates, rooted at r and one element of Q,
 weights its sets by |Q| / m2 as well, and one walk from {r} takes the
-rest.  The listings and the group shards walk from the empty set on the
-one walker, _walk: enumerate_sum_free, the shards, and a group's maximal
+rest; these walks tally each set in a cell without a visit.  The
+listings and the group shards walk from the empty set on the same
+walker, _walk: enumerate_sum_free, the shards, and a group's maximal
 sets (enumerate_maximal, and maximal_sets_of_size, whose visit cuts the
-walk at a depth).  An interval's maximal sets come from the maximal
-count's walk.  enumerate_maximum (pruned by a translation-matching bound)
-keeps its own loop, which skips a hopeless child before computing its
-mask.  No walk builds a mask for a leaf unless it needs one.
+walk at a depth or with too much left to cover).  An interval's maximal
+sets come from the maximal count's walk.  enumerate_maximum (pruned by a
+translation-matching bound) keeps its own loop, which skips a hopeless
+child before computing its mask; with ties pruned, it gives the density
+checks one witness.  No walk builds a mask for a leaf unless it needs one.
 
 Sharded counting fixes the first log2(shard_count) include/exclude
 decisions from the bits of the shard index (bit j governs ground element
@@ -52,7 +50,7 @@ for any power-of-two shard count.
 """
 
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from ._record import Record
 from .universe import (
@@ -78,28 +76,39 @@ def _require_ground(u: Universe, cap: int) -> None:
 
 def _walk(forbid: Callable[[int, int, int], int],
           visit: Optional[Callable[[int, Optional[int]], Optional[bool]]],
-          ground: int, s: int, f: int, min_slot: int, masks: bool = False) -> int:
+          ground: int, s: int, f: int, min_slot: int, masks: bool = False,
+          counts: Optional[list[int]] = None, steps: Sequence[int] = (), cell: int = 0,
+          stride: int = 0, whole: int = 0) -> int:
     """Count the sets below s inside ground, one node per set, stepping by
-    forbid (a universe's); visit(s, forbidden) at each.  A visit that
-    returns True cuts the sets below its node.
-
-    The child on a node's last candidate is a leaf; unless masks is set,
-    it gets no mask and is visited with forbidden None.
+    forbid (a universe's); visit(s, forbidden) at each, or else add 1 to
+    counts[cell]: a child's cell is its parent's plus steps[slot], plus
+    stride if it is maximal in whole.  A visit that returns True cuts the
+    sets below its node.  The child on a node's last candidate is a leaf,
+    handled in place; unless masks (or stride) is set, it gets no mask and
+    is visited with forbidden None.
     """
-    if visit is not None and visit(s, f):
-        return 1
+    if visit is not None:
+        if visit(s, f):
+            return 1
+    elif counts is not None:
+        counts[cell + stride if stride and not whole & ~(s | f) else cell] += 1
     total = 1
     avail = ground & ~f & (-1 << min_slot)
     while avail:
         b = avail & -avail
         avail ^= b
-        if avail or masks:
-            slot = b.bit_length() - 1
-            total += _walk(forbid, visit, ground, s | b, forbid(s, f, slot), slot + 1, masks)
-        else:
-            total += 1
-            if visit is not None:
-                visit(s | b, None)
+        slot = b.bit_length() - 1
+        if avail:
+            total += _walk(forbid, visit, ground, s | b, forbid(s, f, slot), slot + 1, masks,
+                           counts, steps, cell + steps[slot] if steps else 0, stride, whole)
+            continue
+        total += 1  # the leaf: nothing outside f lies above b
+        if visit is not None:
+            visit(s | b, forbid(s, f, slot) if masks else None)
+        elif counts is not None:
+            leaf = cell + steps[slot]
+            maximal = stride and not whole & ~(s | b | forbid(s, f, slot))
+            counts[leaf + stride if maximal else leaf] += 1
     return total
 
 
@@ -246,6 +255,8 @@ def _orbit_tally(u: GroupUniverse, maximal: bool) -> list[int]:
     taken in ascending order after the larger Q's, are the children of
     {r} in one walk from {r} with the larger Q's left out; when the
     stabiliser fixes every candidate, that is the whole of level two.
+    A member at y steps a set's cell by 1 in k, in m if y is in O_i and in
+    m2 if in Q_j, and maximality by 1 in x: one stride.
     """
     group, forbid, ground = u.group, u.forbid, u.ground_mask
     out = [0] * (2 * group.order)
@@ -256,6 +267,7 @@ def _orbit_tally(u: GroupUniverse, maximal: bool) -> list[int]:
         omask = sum(1 << y for y in orbit)
         width = size + 1
         counts = [0] * (len(out) * width)  # [(2k + x) * width + m]
+        steps = [2 * width + (omask >> y & 1) for y in range(group.order)]
         f = forbid(0, 0, r) | 1 << r
         left = ground & ~earlier  # the ground of the next walk
         for block in blocks:  # the larger ones first
@@ -267,39 +279,18 @@ def _orbit_tally(u: GroupUniverse, maximal: bool) -> list[int]:
             qmask = sum(1 << y for y in block)
             q, qwidth = block[0], len(block) + 1
             deeper = [0] * (len(counts) * qwidth)  # [((2k + x) * width + m) * qwidth + m2]
-            _walk(forbid, _tally_visit(deeper, ground, width, omask, maximal, qwidth, qmask),
-                  left, 1 << r | 1 << q, forbid(1 << r, f, q) | 1 << q, 0, maximal)
+            qsteps = [step * qwidth + (qmask >> y & 1) for y, step in enumerate(steps)]
+            _walk(forbid, None, left, 1 << r | 1 << q, forbid(1 << r, f, q) | 1 << q, 0,
+                  counts=deeper, steps=qsteps, cell=qsteps[r] + qsteps[q],
+                  stride=maximal and width * qwidth, whole=ground)
             _divide_into(counts, deeper, qwidth, len(block),
                          f"{group.moduli} hold {r}, {q}", f"the stabiliser orbit of {q}")
             left &= ~qmask
-        _walk(forbid, _tally_visit(counts, ground, width, omask, maximal),
-              left, 1 << r, f, 0, maximal)
+        _walk(forbid, None, left, 1 << r, f, 0, counts=counts, steps=steps, cell=steps[r],
+              stride=maximal and width, whole=ground)
         _divide_into(out, counts, width, size, f"{group.moduli} hold {r}", "its orbit")
         earlier |= omask
     return out
-
-
-def _tally_visit(counts: list[int], ground: int, width: int, omask: int, maximal: bool,
-                 qwidth: int = 1, qmask: int = 0) -> Callable[[int, Optional[int]], None]:
-    """A visit for _walk that adds 1 to counts[((2k + x) * width + m) * qwidth
-    + m2], for a set s of k members, x = 1 if maximal is set and s is
-    maximal, m members in omask and m2 in qmask."""
-    if qmask and maximal:
-        def visit(s: int, forbidden: Optional[int]) -> None:
-            counts[((2 * s.bit_count() + (not ground & ~(s | forbidden))) * width
-                    + (s & omask).bit_count()) * qwidth + (s & qmask).bit_count()] += 1
-    elif qmask:
-        def visit(s: int, forbidden: Optional[int]) -> None:
-            counts[(2 * s.bit_count() * width + (s & omask).bit_count()) * qwidth
-                   + (s & qmask).bit_count()] += 1
-    elif maximal:  # level one: no m2 popcount, which costs about 100 ns a visit
-        def visit(s: int, forbidden: Optional[int]) -> None:
-            counts[(2 * s.bit_count() + (not ground & ~(s | forbidden))) * width
-                   + (s & omask).bit_count()] += 1
-    else:
-        def visit(s: int, forbidden: Optional[int]) -> None:
-            counts[2 * s.bit_count() * width + (s & omask).bit_count()] += 1
-    return visit
 
 
 def _divide_into(out: list[int], counts: list[int], width: int, size: int,
@@ -426,42 +417,49 @@ def count_by_largest(u: IntervalUniverse) -> list[int]:
 def enumerate_maximum(u: Universe) -> list[ElemSet]:
     """All sum-free sets of maximum cardinality, ascending lexicographic.
 
-    Branch and bound: the first descent builds the greedy set (for
-    intervals, the odds), which seeds the best cardinality.  A sum-free A
-    holding s inside C = s | candidates never holds both a and a + x
-    (x in s), so a node is dropped when |C| - excluded(C, x) < best for
-    some x; that bound is never below |C| // 2, so it is only computed
-    when |C| // 2 < best.  A child whose set plus the candidates above it
-    cannot reach the best is skipped before its forbidden mask is
-    computed.  Ties stay: the list holds every maximum set.
+    Branch and bound: the first descent builds the greedy set (for intervals,
+    the odds), which seeds the best cardinality.  A sum-free A holding s
+    inside C = s | candidates never holds both a and a + x (x in s), so a
+    node is dropped when |C| - excluded(C, x) < best for some x; that bound
+    is never below |C| // 2, so it is only computed when |C| // 2 < best.  A
+    child whose set plus the candidates above it cannot reach the best is
+    skipped before its forbidden mask is computed.  Ties stay: the list holds
+    every maximum set (_maximum(u, 1) drops them, for one witness).
     """
+    return _maximum(u, 0)
+
+
+def _maximum(u: Universe, slack: int) -> list[ElemSet]:
+    """enumerate_maximum's search, dropping a node whose bound is below
+    best + slack.  Slack 1 drops ties too, so only the first maximum set
+    is found: a node above a set larger than the best has a larger bound."""
     _require_ground(u, MAXIMUM_CAP)
     forbid, excluded, ground = u.forbid, u.excluded, u.ground_mask
-    best = 0
+    best = bar = -1  # the root, the empty set, sets both
     found: list[int] = []
 
     def rec(s: int, f: int, min_slot: int, card: int) -> None:
-        nonlocal best, found
+        nonlocal best, bar, found
         if card > best:
-            best = card
+            best, bar = card, card + slack
             found = [s]
-        elif card == best:
+        elif card == best and not slack:
             found.append(s)
         avail = ground & ~f & (-1 << min_slot)
         size = card + avail.bit_count()
-        if avail and size // 2 < best:
+        if avail and size // 2 < bar:
             c, rest = s | avail, s
             while rest:
                 b = rest & -rest
                 rest ^= b
-                if size - excluded(c, b.bit_length() - 1) < best:
+                if size - excluded(c, b.bit_length() - 1) < bar:
                     return
         while avail:
             b = avail & -avail
             avail ^= b
             # the child and every later one can add at most the candidates
             # above b
-            if card + 1 + avail.bit_count() < best:
+            if card + 1 + avail.bit_count() < bar:
                 return
             slot = b.bit_length() - 1
             # the child on the last candidate is a leaf: all forbidden (-1)
@@ -477,16 +475,25 @@ def _group_maximal(u: GroupUniverse, size: Optional[int] = None) -> list[ElemSet
 
     A group walk's forbidden mask holds exactly the elements that cannot
     join s, so s is maximal when ground & ~(s | forbidden) == 0.  With a
-    size the walk is cut at that depth: about order^size / size! nodes.
+    size the walk is cut at that depth, and where more than budget[k] =
+    sum_{j=k}^{size-1} (3j + 2 + |G[2]|) elements are outside s (k members)
+    and its mask: b joining j members covers b, s' + b, s' - b and b - s'
+    (s' in s | {b}, 0 twice) and the halves of b, a coset of G[2] or none.
+    A ground past budget[0] is refused before any mask table is built.
     """
     ground = u.ground_mask
     found: list[int] = []
+    if size is not None:
+        halves = 1 << u.group.even_component_count()  # |G[2]|, the most halves of one b
+        budget = [(size - k) * (4 + 2 * halves + 3 * (size + k - 1)) // 2 for k in range(size + 1)]
+        if ground.bit_count() > budget[0]:
+            return []
 
     def visit(s: int, forbidden: int) -> bool:
-        k = s.bit_count()
-        if not ground & ~(s | forbidden) and (size is None or k == size):
+        free, k = ground & ~(s | forbidden), s.bit_count()
+        if not free and (size is None or k == size):
             found.append(s)
-        return k == size
+        return size is not None and (k == size or free.bit_count() > budget[k])
 
     _walk(u.forbid, visit, ground, 0, 0, 0, True)
     return [ElemSet(u, mask) for mask in found]
@@ -503,7 +510,8 @@ def enumerate_maximal(u: Universe) -> list[ElemSet]:
 
 
 def maximal_sets_of_size(u: GroupUniverse, size: int) -> list[ElemSet]:
-    """The maximal sum-free sets of one cardinality, ascending lexicographic.
+    """The maximal sum-free sets of one cardinality, ascending lexicographic;
+    none past order // 2, as A and A + a are disjoint for a in A.
 
     An interval's forbidden mask holds only the sums above s, not the
     differences and halves the maximality test reads, so intervals are
@@ -511,7 +519,9 @@ def maximal_sets_of_size(u: GroupUniverse, size: int) -> list[ElemSet]:
     """
     if not isinstance(u, GroupUniverse):
         raise TypeError(f"maximal_sets_of_size needs a group universe, got {u.describe()}")
-    return _group_maximal(u, size)
+    if size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
+    return [] if size > u.group.order // 2 else _group_maximal(u, size)
 
 
 def count_maximal(u: Universe) -> int:

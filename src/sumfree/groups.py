@@ -325,21 +325,19 @@ def generated_subgroup(g: GroupSpec, gens: Sequence[Element]) -> Subgroup:
 
 
 def index2_subgroups(g: GroupSpec) -> list[Subgroup]:
-    """All subgroups of index exactly 2.
+    """All subgroups of index exactly 2 (none for odd order).
 
     Each one is the kernel of a nonzero homomorphism onto the 2-element
-    group; such a homomorphism is a parity vector supported on the even
-    moduli, so there are 2^V - 1 of them, V being the even component
-    count.  Odd-order groups get an empty list.
+    group, a parity vector on the even moduli: 2^V - 1 of them, V the even
+    component count.  A kernel is the complement of the XOR of the index
+    masks with an odd coordinate at its moduli (r zeros, r ones, for radix r).
     """
-    even_pos = [i for i, m in enumerate(g.moduli) if m % 2 == 0]
-    subs = []
-    for bits in range(1, 1 << len(even_pos)):
-        chosen = [even_pos[j] for j in range(len(even_pos)) if (bits >> j) & 1]
-        members = frozenset(idx for idx in range(g.order)
-                            if sum(g.index_to_coords(idx)[i] for i in chosen) % 2 == 0)
-        subs.append(Subgroup(g, members))
-    return subs
+    full, odd = (1 << g.order) - 1, [0]  # odd[bits]: the XOR for the parity vector bits
+    for m, r in zip(g.moduli, g._radices):
+        if m % 2 == 0:
+            mask = full // ((1 << 2 * r) - 1) * (((1 << r) - 1) << r)
+            odd += [x ^ mask for x in odd]
+    return [Subgroup(g, frozenset(i for i in range(g.order) if not x >> i & 1)) for x in odd[1:]]
 
 
 def abelian_groups_of_order(n: int) -> list[GroupSpec]:

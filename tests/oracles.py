@@ -122,6 +122,25 @@ def group_count_oracle(moduli: tuple[int, ...]) -> tuple[int, int, dict[int, int
     return len(family), sum(1 for s in family if s not in extended), histogram
 
 
+def index2_kernel_oracle(moduli: tuple[int, ...]) -> list[frozenset[int]]:
+    """The index-2 subgroups of Z_m1 x Z_m2 x ..., one per nonzero parity
+    vector on the even moduli (bit j for the j-th even modulus, vectors
+    ascending): the elements whose chosen coordinates have an even sum.
+    Each element's index is worked out from its coordinate tuple here, the
+    first coordinate least significant."""
+    even = [i for i, m in enumerate(moduli) if m % 2 == 0]
+    radices = [1]
+    for m in moduli:
+        radices.append(radices[-1] * m)
+    elements = list(product(*(range(m) for m in moduli)))
+    kernels = []
+    for bits in range(1, 1 << len(even)):
+        chosen = [i for j, i in enumerate(even) if bits >> j & 1]
+        kernels.append(frozenset(sum(x * r for x, r in zip(c, radices)) for c in elements
+                                 if sum(c[i] for i in chosen) % 2 == 0))
+    return kernels
+
+
 def interval_tally_oracle(lo: int, hi: int) -> tuple[int, int, dict[int, int], list[tuple]]:
     """(count, maximal count, {cardinality: count}, the maximal sets) of the
     sum-free subsets of [lo, hi], from tuples and Python sets of values.

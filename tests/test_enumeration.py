@@ -12,6 +12,7 @@ from oracles import (
 import sumfree.enumeration
 from sumfree.enumeration import (
     _interval_walk,
+    _maximum,
     _tally,
     _walk,
     build_count_record,
@@ -176,6 +177,23 @@ def test_enumerate_maximum_order_64_is_the_index2_cosets():
         enumerate_maximum(GroupUniverse(make_group([5, 13])))
 
 
+def test_maximum_witness_is_the_first_maximum_set():
+    # with slack 1 the search drops ties and finds one witness; the list
+    # keeps them all: on an even order, the nontrivial cosets of the
+    # index-2 subgroups
+    for order in range(1, 33):
+        for g in abelian_groups_of_order(order):
+            u = GroupUniverse(g)
+            maxima = enumerate_maximum(u)
+            assert _maximum(u, 1) == maxima[:1], g.moduli
+            if order % 2 == 0:
+                cosets = {frozenset(range(order)) - h.members for h in index2_subgroups(g)}
+                assert {frozenset(s.members()) for s in maxima} == cosets, g.moduli
+    for n in range(1, 21):
+        u = IntervalUniverse(1, n)
+        assert _maximum(u, 1) == enumerate_maximum(u)[:1], n
+
+
 def _translation_pairs(u, c, x):
     """#{a in c: a + x in c}, from values (the group law by add_index)."""
     members = ElemSet(u, c).members()
@@ -250,6 +268,81 @@ def test_maximal_sets_of_size_refuses_intervals():
         maximal_sets_of_size(IntervalUniverse(1, 5), 2)
     got = [s.members() for s in maximal_sets_of_size(GroupUniverse(make_group([5])), 2)]
     assert got == [(1, 4), (2, 3)]
+
+
+def test_maximal_sets_of_size_bounds_its_input():
+    with pytest.raises(ValueError, match="size must be >= 0"):
+        maximal_sets_of_size(GroupUniverse(make_group([29])), -1)
+    # past order // 2 (A and A + a are disjoint), or past the cover bound at
+    # the root, no walk runs: at once even on order 64
+    for moduli, size in (([5], 3), ([64], 33), ([2] * 6, 40), ([64], 3), ([2] * 6, 3)):
+        u = GroupUniverse(make_group(moduli))
+        assert maximal_sets_of_size(u, size) == [], (moduli, size)
+    assert [s.members() for s in maximal_sets_of_size(GroupUniverse(make_group([])), 0)] == [()]
+
+
+def test_maximal_scan_refuses_exactly_the_groups_past_its_cover_bound():
+    # a member joining j members covers at most 3j + 2 + |G[2]| elements, so
+    # a group of more than sum_{j < size} (3j + 2 + |G[2]|) nonzero elements
+    # has no maximal set of that size, and (like a size past order // 2) it
+    # never builds its translation tables; Z_4 x Z_3 (size 2) and Z_19
+    # (size 3) sit on the bound
+    on_bound = set()
+    for order in range(2, 65):
+        for g in abelian_groups_of_order(order):
+            torsion = 1 << sum(m % 2 == 0 for m in g.moduli)
+            for size in (1, 2, 3):
+                u = GroupUniverse(g)
+                found = maximal_sets_of_size(u, size)
+                budget = sum(3 * j + 2 + torsion for j in range(size))
+                walked = size <= order // 2 and order - 1 <= budget
+                assert ("_plans" in vars(u)) == walked, (g.moduli, size)
+                assert order - 1 <= budget or not found
+                if order - 1 == budget:
+                    on_bound.add((g.moduli, size))
+    assert {((4, 3), 2), ((19,), 3)} <= on_bound
+
+
+def test_maximal_scans_match_the_predicate_past_order_24():
+    for order in range(25, 33):
+        for g in abelian_groups_of_order(order):
+            u = GroupUniverse(g)
+            singles = [1 << x for x in range(1, order)]
+            pairs = [1 << x | 1 << y for x in range(1, order) for y in range(x + 1, order)]
+            for size, sets in ((1, singles), (2, pairs)):
+                expected = sorted(m for m in sets if is_maximal_sum_free(u, ElemSet(u, m)))
+                got = [s.mask for s in maximal_sets_of_size(u, size)]
+                assert got == expected, (g.moduli, size)
+
+
+def test_counting_walk_steps_cells_and_strides_maximal_sets():
+    # a counting walk files each set at the sum of its members' steps, plus
+    # the stride if it is maximal in the whole ground; walked here in part
+    # of the ground, against a visit that works the cell out per set
+    for order in range(2, 17):
+        for g in abelian_groups_of_order(order):
+            u = GroupUniverse(g)
+            whole = u.ground_mask
+            # a set maximal in this ground but not in the whole one gets no stride
+            ground = whole & ~(1 << order - 1)
+            steps = [(7 * y) % 11 + 1 for y in range(order)]
+            stride = 11 * order
+            expected = [0] * (2 * stride)
+
+            def visit(s, forbidden):
+                cell = sum(steps[y] for y in range(order) if s >> y & 1)
+                expected[cell + stride * (not whole & ~(s | forbidden))] += 1
+
+            _walk(u.forbid, visit, ground, 0, 0, 0, True)
+            for stride_used in (0, stride):
+                counts = [0] * (2 * stride)
+                _walk(u.forbid, None, ground, 0, 0, 0, counts=counts, steps=steps,
+                      stride=stride_used, whole=whole)
+                if stride_used:
+                    assert counts == expected, g.moduli
+                else:  # no stride: maximal or not, a set stays at its members' cell
+                    assert counts[:stride] == [a + b for a, b in zip(expected[:stride],
+                                                                   expected[stride:])]
 
 
 def test_enumerate_maximal_examples():

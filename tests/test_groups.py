@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import index2_kernel_oracle
 from sumfree.arith import partitions, prime_factors
 from sumfree.errors import CapacityError
 from sumfree.groups import (
@@ -140,6 +141,15 @@ def test_index2_count_matches_even_components():
             assert len(subs) == (1 << g.even_component_count()) - 1
             for s in subs:
                 assert s.order * 2 == g.order
+
+
+def test_index2_parity_masks_match_coordinate_oracle():
+    # the kernels come from whole-index parity masks; the oracle reads each
+    # element's coordinates
+    for order in range(1, 65):
+        for g in abelian_groups_of_order(order):
+            got = [s.members for s in index2_subgroups(g)]
+            assert got == index2_kernel_oracle(g.moduli), g.moduli
 
 
 def _all_subgroups(g: GroupSpec) -> set[frozenset[int]]:

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import math
 from pathlib import Path
 
 DUMP = Path(__file__).resolve().parent.parent / "tools" / "offline_dump.py"
@@ -13,8 +15,8 @@ def test_offline_dump_lines():
     dump = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(dump)
     out = list(dump.dump_lines(count_order=6, maximum_order=8, window_hi=4, prefix_hi=6,
-                               two_wise_hi=5))
-    groups, windows, two_wise = out[:10], out[10:22], out[22:]
+                               two_wise_hi=5, structure_order=8))
+    groups, windows, two_wise, structure = out[:10], out[10:22], out[22:27], out[27:]
     assert [line.split()[0] for line in groups] == [
         "2", "3", "4", "2x2", "5", "2x3", "7", "8", "4x2", "2x2x2"]
     # up to order window_hi, the groups list their maximal sets
@@ -42,3 +44,19 @@ def test_offline_dump_lines():
         prefixes[f"[1,{n}]"] for n in range(1, 7)]
     # last, the two-wise counts of [1, n]: all 2^n subsets split until n = 5
     assert two_wise == [f"[1,{n}] two_wise={c}" for n, c in enumerate([2, 4, 8, 16, 31], 1)]
+    # last, per group: the density witness, the index-2 subgroups, the maximal pairs
+    assert [line.split()[0] for line in structure] == [line.split()[0] for line in groups]
+    assert structure[2] == "4 witness=[1,3] index2=[[0,2]] pairs=[[1,3]]"
+    assert structure[4] == "5 witness=[1,4] index2=[] pairs=[[1,4],[2,3]]"
+    assert structure[8] == "4x2 witness=[1,3,4,6] index2=[[0,2,4,6],[0,1,2,3],[0,2,5,7]] " \
+                           "pairs=[[2,4],[2,6]]"
+    for line, group_line in zip(structure, groups):
+        # the witness is the first set of the maximum list; one index-2
+        # subgroup per nonzero parity vector on the even moduli, and on an
+        # even order the witness is the complement of one of them
+        fields, moduli = _fields(line), [int(m) for m in line.split()[0].split("x")]
+        assert _fields(group_line)["maximum"].startswith("[" + fields["witness"]), line
+        index2, order = json.loads(fields["index2"]), math.prod(moduli)
+        assert len(index2) == 2 ** sum(m % 2 == 0 for m in moduli) - 1, line
+        if order % 2 == 0:
+            assert sorted(set(range(order)) - set(json.loads(fields["witness"]))) in index2

@@ -11,8 +11,11 @@ sets (enumerate_maximal, sorted).  Then one line per interval window,
 every [lo, hi] with hi <= 24 and [1, n] for 25 <= n <= 33: the window,
 the same count, maximal count and histogram, the counts by largest
 element (count_by_largest) and the maximum sets (values), then, for
-hi <= 24, the maximal sets (enumerate_maximal, sorted).  Last, one line
-per [1, n], n <= 18, with the two-wise count (count_two_wise).  Only the
+hi <= 24, the maximal sets (enumerate_maximal, sorted).  Then one line
+per [1, n], n <= 18, with the two-wise count (count_two_wise).  Last, one
+more line per abelian group of order 2-64: the moduli, the witness of
+density_report, the index-2 subgroups (index2_subgroups, members sorted)
+and the maximal sets of cardinality 2 (maximal_sets_of_size).  Only the
 standard library is used.
 
 To compare two commits, extract each with `git archive REV | tar -x -C DIR`,
@@ -34,8 +37,10 @@ from sumfree.enumeration import (  # noqa: E402
     count_two_wise,
     enumerate_maximal,
     enumerate_maximum,
+    maximal_sets_of_size,
 )
-from sumfree.groups import abelian_groups_of_order  # noqa: E402
+from sumfree.analysis import density_report  # noqa: E402
+from sumfree.groups import abelian_groups_of_order, index2_subgroups  # noqa: E402
 from sumfree.universe import ElemSet, GroupUniverse, IntervalUniverse, Universe  # noqa: E402
 
 
@@ -45,8 +50,12 @@ def _counts(u: Universe) -> list[str]:
     return [f"f={rec.f}", f"f_max={rec.f_max}", f"hist={hist}"]
 
 
+def _json(value: list) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
 def _sets(name: str, sets: list) -> str:
-    return f"{name}=" + json.dumps([s.to_json_list() for s in sets], separators=(",", ":"))
+    return f"{name}=" + _json([s.to_json_list() for s in sets])
 
 
 def _maximum(u: Universe) -> str:
@@ -59,12 +68,13 @@ def _maximal(u: Universe) -> str:
 
 def dump_lines(count_order: int = 41, maximum_order: int = 64,
                window_hi: int = 24, prefix_hi: int = 33,
-               two_wise_hi: int = 18) -> Iterator[str]:
+               two_wise_hi: int = 18, structure_order: int = 64) -> Iterator[str]:
     """The dump's lines: group counts up to count_order, group maximum sets up
     to maximum_order, then the windows [lo, hi], hi <= window_hi, and [1, n],
     window_hi < n <= prefix_hi; the maximal sets are listed for the groups
     of order and the windows with hi at most window_hi.  Then the two-wise
-    counts of [1, n], n <= two_wise_hi."""
+    counts of [1, n], n <= two_wise_hi, and last the witness, index-2
+    subgroups and maximal pairs of the groups of order 2 to structure_order."""
     for n in range(2, max(count_order, maximum_order) + 1):
         for g in abelian_groups_of_order(n):
             u = GroupUniverse(g)
@@ -86,6 +96,13 @@ def dump_lines(count_order: int = 41, maximum_order: int = 64,
         yield " ".join(fields)
     for n in range(1, two_wise_hi + 1):
         yield f"[1,{n}] two_wise={count_two_wise(n)}"
+    for n in range(2, structure_order + 1):
+        for g in abelian_groups_of_order(n):
+            witness = density_report(g).witness.to_json_list()
+            index2 = [sorted(h.members) for h in index2_subgroups(g)]
+            yield " ".join(["x".join(map(str, g.moduli)), f"witness={_json(witness)}",
+                            f"index2={_json(index2)}",
+                            _sets("pairs", maximal_sets_of_size(GroupUniverse(g), 2))])
 
 
 if __name__ == "__main__":
