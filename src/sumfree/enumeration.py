@@ -26,18 +26,17 @@ from each of at least 8 shard roots, keeping the layers small.  Counting
 a set as x^|s|, x a large power of two, packs the histogram into the
 same transfer.  The maximal count walks only the sets that can still
 become maximal.  Group counts (with the maximal count and the histogram)
-use the symmetry instead, two levels deep.  The sets that meet an orbit
-of a group of automorphisms (GroupSpec.orbits) but no earlier orbit are
-found from one element r of it, and a set with m members in the orbit
-stands for |orbit| / m sets.  The stabiliser of r splits the candidates
-of {r} into orbits in turn (GroupSpec.stabiliser_orbits): one walk per
-orbit Q of two or more candidates, rooted at r and one element of Q,
-weights its sets by |Q| / m2 as well, and one walk from {r} takes the
-rest; these walks tally each set in a cell without a visit.  The
-listings and the group shards walk from the empty set on the same
-walker, _walk: enumerate_sum_free, the shards, and a group's maximal
-sets (enumerate_maximal, and maximal_sets_of_size, whose visit cuts the
-walk at a depth or with too much left to cover).  An interval's maximal
+use the symmetry instead, by one rooting step taken two levels deep.  The
+automorphisms that fix the members of a rooted set s split its
+candidates into orbits (GroupSpec.fixing_orbits).  The sets above s that
+meet such an orbit Q but no earlier one are found from s and one element
+of Q, a set with m members in Q standing for |Q| / m sets, and one walk
+from s takes the sets that meet only orbits of one element; these walks
+tally each set in a cell without a visit.  The listings and the group
+shards walk from the empty set on the same walker, _walk:
+enumerate_sum_free, the shards, and a group's maximal sets
+(enumerate_maximal, and maximal_sets_of_size, whose visit cuts the walk
+at a depth or with too much left to cover).  An interval's maximal
 sets come from the maximal count's walk.  enumerate_maximum (pruned by a
 translation-matching bound) keeps its own loop, which skips a hopeless
 child before computing its mask; with ties pruned, it gives the density
@@ -65,6 +64,7 @@ from .errors import DEFAULT_GROUND_CAP, MAXIMUM_CAP, CapacityError
 NAIVE_CAP = 25
 TWO_WISE_CAP = 18
 SHARD_CAP = 4096  # each shard costs a root and a result row, walked or not
+ORBIT_DEPTH = 2  # rooting steps in a group count
 
 
 def _require_ground(u: Universe, cap: int) -> None:
@@ -235,78 +235,58 @@ def _orbit_tally(u: GroupUniverse, maximal: bool) -> list[int]:
     """The sum-free sets of a group, by cardinality k and maximality x
     (entry 2k + x; x = 0 throughout unless maximal is set).
 
-    Rooted walks, two levels deep.  Let O_1, O_2, ... be the orbits of the
-    automorphisms (GroupSpec.orbits, largest first) and A_i the sum-free
-    sets that meet O_i but no earlier orbit.  Of A_i, take the N_i(k, x, m)
-    sets that hold r, a fixed element of O_i, and have m members in O_i.
-    The automorphisms move r onto every element of O_i and map A_i onto
-    itself, keeping k and x, so counting the pairs (y in s & O_i, s) both
-    ways gives m * #{s in A_i: k, x, m} = |O_i| * N_i(k, x, m).
-
-    The stabiliser of r (GroupSpec.stabiliser_orbits) in turn splits the
-    candidates of {r} into orbits Q_1, Q_2, ... (largest first), and it
-    maps the sets B_ij of A_i that hold r and meet Q_j but no earlier Q
-    onto themselves, keeping k, x and m.  One walk from {r, q}, q in Q_j,
-    with the earlier Q's left out, finds the N_ij(k, x, m, m2) sets of
-    B_ij that hold q and have m2 members in Q_j, and the same argument
-    gives m2 * #{s in B_ij: k, x, m, m2} = |Q_j| * N_ij(k, x, m, m2).  So
-    N_i is 1 for {r} (at its k, x and m = 1) plus the sum over j and m2 of
-    |Q_j| * N_ij / m2.  A singleton Q has weight 1, and the singletons,
-    taken in ascending order after the larger Q's, are the children of
-    {r} in one walk from {r} with the larger Q's left out; when the
-    stabiliser fixes every candidate, that is the whole of level two.
-    A member at y steps a set's cell by 1 in k, in m if y is in O_i and in
-    m2 if in Q_j, and maximality by 1 in x: one stride.
+    One rooting step, taken from the empty set and from each set it roots
+    until a set has ORBIT_DEPTH members.  At a rooted set s (its members
+    in the order rooted: the prefix) with ground left, the automorphisms
+    that fix each member of s map the sets above s in left onto
+    themselves, and they split the candidates of s into orbits Q
+    (GroupSpec.fixing_orbits, largest first).  The sets above s in left
+    that meet Q but no earlier Q form a family B that they map onto
+    itself, keeping k and x.  Of B, take the N(k, x, m) sets that hold q,
+    a fixed element of Q, and have m members in Q.  The automorphisms
+    move q onto every element of Q, so counting the pairs (y in t & Q, t)
+    both ways gives m * #{t in B: k, x, m} = |Q| * N(k, x, m).  So for
+    each Q of two or more candidates the step roots s | {q} in left,
+    adds |Q| * N / m (checked to be exact) and leaves Q out of left.  The
+    sets still to count meet only singletons, each of weight 1: one walk
+    from s over left counts them and s.  Each rooting adds a digit for m
+    to the cells: a member at y steps a set's cell by 1 in k and by 1 in
+    the m of each Q that holds y, and maximality by 1 in x, one stride.
     """
     group, forbid, ground = u.group, u.forbid, u.ground_mask
+
+    def root(prefix: tuple[int, ...], f: int, left: int, steps: list[int], stride: int,
+             tally: list[int]) -> None:
+        s = sum(1 << y for y in prefix)
+        if len(prefix) < ORBIT_DEPTH:
+            candidates = left & ~f
+            for block in group.fixing_orbits(prefix, [y for y in range(group.order)
+                                                      if candidates >> y & 1]):
+                if len(block) == 1:  # the larger ones come first
+                    break
+                q, size = block[0], len(block)
+                qmask, width = sum(1 << y for y in block), size + 1
+                counts = [0] * (len(tally) * width)  # [cell * width + m]
+                root(prefix + (q,), forbid(s, f, q) | 1 << q, left,
+                     [step * width + (qmask >> y & 1) for y, step in enumerate(steps)],
+                     stride * width, counts)
+                for i, n in enumerate(counts):
+                    if n:
+                        cell, m = divmod(i, width)
+                        share, rem = divmod(size * n, m)
+                        if rem:
+                            raise RuntimeError(
+                                f"{group.moduli}: {n} sum-free sets hold {prefix + (q,)} and "
+                                f"{m} of the {size} elements of its block: "
+                                f"{size} * {n} is not a multiple of {m}")
+                        tally[cell] += share
+                left &= ~qmask
+        _walk(forbid, None, left, s, f, 0, counts=tally, steps=steps,
+              cell=sum(steps[y] for y in prefix), stride=maximal and stride, whole=ground)
+
     out = [0] * (2 * group.order)
-    out[int(not ground)] = 1  # the empty set, maximal in the trivial group
-    earlier = 0
-    for orbit, blocks in zip(group.orbits, group.stabiliser_orbits):
-        size, r = len(orbit), orbit[0]
-        omask = sum(1 << y for y in orbit)
-        width = size + 1
-        counts = [0] * (len(out) * width)  # [(2k + x) * width + m]
-        steps = [2 * width + (omask >> y & 1) for y in range(group.order)]
-        f = forbid(0, 0, r) | 1 << r
-        left = ground & ~earlier  # the ground of the next walk
-        for block in blocks:  # the larger ones first
-            if len(block) == 1:
-                break
-            # all candidates: the stabiliser fixes 2r and each half x of r
-            # in O_i or later, as doubling maps x's orbit (no larger than
-            # O_i) onto O_i one to one
-            qmask = sum(1 << y for y in block)
-            q, qwidth = block[0], len(block) + 1
-            deeper = [0] * (len(counts) * qwidth)  # [((2k + x) * width + m) * qwidth + m2]
-            qsteps = [step * qwidth + (qmask >> y & 1) for y, step in enumerate(steps)]
-            _walk(forbid, None, left, 1 << r | 1 << q, forbid(1 << r, f, q) | 1 << q, 0,
-                  counts=deeper, steps=qsteps, cell=qsteps[r] + qsteps[q],
-                  stride=maximal and width * qwidth, whole=ground)
-            _divide_into(counts, deeper, qwidth, len(block),
-                         f"{group.moduli} hold {r}, {q}", f"the stabiliser orbit of {q}")
-            left &= ~qmask
-        _walk(forbid, None, left, 1 << r, f, 0, counts=counts, steps=steps, cell=steps[r],
-              stride=maximal and width, whole=ground)
-        _divide_into(out, counts, width, size, f"{group.moduli} hold {r}", "its orbit")
-        earlier |= omask
+    root((), 0, ground, [2] * group.order, 1, out)
     return out
-
-
-def _divide_into(out: list[int], counts: list[int], width: int, size: int,
-                 sets: str, orbit: str) -> None:
-    """out[key] += size * n / m for each n = counts[key * width + m] (m >= 1),
-    n sets having m of the size elements of an orbit; RuntimeError, naming
-    the sets and the orbit, if a division is not exact."""
-    for i, n in enumerate(counts):
-        if n:
-            key, m = divmod(i, width)
-            q, rem = divmod(size * n, m)
-            if rem:
-                raise RuntimeError(
-                    f"{n} sum-free sets of {sets} and {m} of the {size} elements of {orbit}: "
-                    f"{size} * {n} is not a multiple of {m}")
-            out[key] += q
 
 
 @lru_cache(maxsize=None)
@@ -476,16 +456,20 @@ def _group_maximal(u: GroupUniverse, size: Optional[int] = None) -> list[ElemSet
     A group walk's forbidden mask holds exactly the elements that cannot
     join s, so s is maximal when ground & ~(s | forbidden) == 0.  With a
     size the walk is cut at that depth, and where more than budget[k] =
-    sum_{j=k}^{size-1} (3j + 2 + |G[2]|) elements are outside s (k members)
-    and its mask: b joining j members covers b, s' + b, s' - b and b - s'
-    (s' in s | {b}, 0 twice) and the halves of b, a coset of G[2] or none.
-    A ground past budget[0] is refused before any mask table is built.
+    sum_{j=k}^{size-1} (3j + 2) + |G[2]| * min(size - k, |2G| - 1) elements
+    are outside s (k members) and its mask: b joining j members covers b,
+    s' + b, s' - b and b - s' (s' in s | {b}, 0 twice) and the halves of
+    b, a coset of G[2] if b is in 2G and none otherwise, so at most
+    |2G| - 1 of the members to come have halves.  A ground past budget[0]
+    is refused before any mask table is built.
     """
     ground = u.ground_mask
     found: list[int] = []
     if size is not None:
-        halves = 1 << u.group.even_component_count()  # |G[2]|, the most halves of one b
-        budget = [(size - k) * (4 + 2 * halves + 3 * (size + k - 1)) // 2 for k in range(size + 1)]
+        halves = 1 << u.group.even_component_count()  # |G[2]|
+        doubles = u.group.order // halves  # |2G|
+        budget = [(size - k) * (4 + 3 * (size + k - 1)) // 2 + halves * min(size - k, doubles - 1)
+                  for k in range(size + 1)]
         if ground.bit_count() > budget[0]:
             return []
 

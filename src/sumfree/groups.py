@@ -10,7 +10,7 @@ enumeration order, sharding and golden files are deterministic.
 import math
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from ._record import Record
 from .arith import partitions, prime_factors
@@ -192,36 +192,20 @@ class GroupSpec(Record):
             raise RuntimeError(f"basis images {images} give no automorphism of {self.moduli}")
         return tuple(table)
 
-    @cached_property
-    def orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Orbits of the nonzero elements under the automorphism tables
-        (ordered as by _orbit_partition)."""
-        tables = self.automorphisms
-        return _orbit_partition(lambda x: [t[x] for t in tables], range(1, self.order))
+    def fixing_orbits(self, prefix: tuple[int, ...],
+                      candidates: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+        """The orbits on the candidates of the automorphisms, in the group the
+        tables generate, that fix each element of prefix, ordered as by
+        _orbit_partition; the candidates must be a union of such orbits.
 
-    @cached_property
-    def stabiliser_orbits(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Per orbit O (aligned with orbits), with root r = O[0]: the orbits
-        of the stabiliser of r, in the group the tables generate, on O and
-        the later orbits, r left out, ordered as by _orbit_partition.
-
-        They are read off the orbits of the pairs (r, x), coded r * order + x:
-        y and z share a stabiliser orbit exactly when an automorphism maps
-        (r, y) to (r, z).  Each lies inside one of the orbits of the tables.
+        They are read off the orbits of the tuples prefix + (x,): y and z
+        share one exactly when an automorphism maps prefix + (y,) to
+        prefix + (z,).  With no prefix they are the orbits of the tables.
         """
-        tables, n = self.automorphisms, self.order
-
-        def images(pair: int) -> list[int]:
-            r, x = divmod(pair, n)
-            return [t[r] * n + t[x] for t in tables]
-
-        out = []
-        for i, orbit in enumerate(self.orbits):
-            r = orbit[0]
-            later = sorted(x for o in self.orbits[i:] for x in o if x != r)
-            pairs = _orbit_partition(images, [r * n + x for x in later])
-            out.append(tuple(tuple(p % n for p in o if p // n == r) for o in pairs))
-        return tuple(out)
+        tables, k = self.automorphisms, len(prefix)
+        tuples = _orbit_partition(lambda p: [tuple(t[x] for x in p) for t in tables],
+                                  [prefix + (x,) for x in candidates])
+        return tuple(tuple(p[k] for p in o if p[:k] == prefix) for o in tuples)
 
     # derived structure ----------------------------------------------------
 
@@ -243,8 +227,11 @@ class GroupSpec(Record):
         return {"moduli": list(self.moduli)}
 
 
-def _orbit_partition(images: Callable[[int], Iterable[int]],
-                     elements: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+_T = TypeVar("_T")
+
+
+def _orbit_partition(images: Callable[[_T], Iterable[_T]],
+                     elements: Iterable[_T]) -> tuple[tuple[_T, ...], ...]:
     """The orbits under the map x -> images(x) that meet the elements, each
     the BFS closure of the first of its members the elements give: each
     ascending, the largest first, and orbits of equal size in the order the

@@ -13,6 +13,7 @@ import sumfree.enumeration
 from sumfree.enumeration import (
     _interval_walk,
     _maximum,
+    _orbit_tally,
     _tally,
     _walk,
     build_count_record,
@@ -29,7 +30,7 @@ from sumfree.enumeration import (
     maximal_sets_of_size,
 )
 from sumfree.errors import CapacityError
-from sumfree.groups import abelian_groups_of_order, index2_subgroups, make_group
+from sumfree.groups import GroupSpec, abelian_groups_of_order, index2_subgroups, make_group
 from sumfree.universe import (
     ElemSet,
     GroupUniverse,
@@ -282,11 +283,12 @@ def test_maximal_sets_of_size_bounds_its_input():
 
 
 def test_maximal_scan_refuses_exactly_the_groups_past_its_cover_bound():
-    # a member joining j members covers at most 3j + 2 + |G[2]| elements, so
-    # a group of more than sum_{j < size} (3j + 2 + |G[2]|) nonzero elements
-    # has no maximal set of that size, and (like a size past order // 2) it
-    # never builds its translation tables; Z_4 x Z_3 (size 2) and Z_19
-    # (size 3) sit on the bound
+    # a member b joining j members covers at most 3j + 2 elements and the
+    # |G[2]| halves of b if b is one of the |2G| - 1 nonzero elements of 2G,
+    # so a group of more than sum_{j < size} (3j + 2) + |G[2]| *
+    # min(size, |2G| - 1) nonzero elements has no maximal set of that size,
+    # and (like a size past order // 2) it never builds its translation
+    # tables; Z_4 x Z_3 (size 2) and Z_19 (size 3) sit on the bound
     on_bound = set()
     for order in range(2, 65):
         for g in abelian_groups_of_order(order):
@@ -294,7 +296,8 @@ def test_maximal_scan_refuses_exactly_the_groups_past_its_cover_bound():
             for size in (1, 2, 3):
                 u = GroupUniverse(g)
                 found = maximal_sets_of_size(u, size)
-                budget = sum(3 * j + 2 + torsion for j in range(size))
+                budget = sum(3 * j + 2 for j in range(size)) + torsion * min(
+                    size, order // torsion - 1)
                 walked = size <= order // 2 and order - 1 <= budget
                 assert ("_plans" in vars(u)) == walked, (g.moduli, size)
                 assert order - 1 <= budget or not found
@@ -496,6 +499,37 @@ def test_orbit_tally_matches_plain_walk():
             for size in (1, 2, 3):
                 got = [s.mask for s in maximal_sets_of_size(u, size)]
                 assert got == [s for s in maximal if s.bit_count() == size], (g.moduli, size)
+
+
+def test_orbit_tally_files_the_empty_set_of_the_trivial_group():
+    # the empty set is the only sum-free set of the trivial group, and it
+    # is maximal there: entry 2k + x, with x = 0 unless maximality is asked
+    u = GroupUniverse(make_group([]))
+    assert _orbit_tally(u, False) == [1, 0]
+    assert _orbit_tally(u, True) == [0, 1]
+
+
+def test_orbit_tally_checks_each_division(monkeypatch):
+    # an orbit split in two is no orbit: the sets rooted at one of its
+    # halves do not divide evenly among its elements
+    fixing_orbits = GroupSpec.fixing_orbits
+
+    def split(g, prefix, candidates):
+        blocks = fixing_orbits(g, prefix, candidates)
+        if prefix:
+            return blocks
+        first, *rest = blocks
+        return (first[:len(first) // 2], first[len(first) // 2:], *rest)
+
+    monkeypatch.setattr(GroupSpec, "fixing_orbits", split)
+    for moduli, message in (
+        ([7], r"\(7,\): 1 sum-free sets hold \(1,\) and 2 of the 3 elements of its block: "
+              r"3 \* 1 is not a multiple of 2"),
+        ([4, 4], r"\(4, 4\): 1 sum-free sets hold \(1, 4\) and 3 of the 8 elements of its "
+                 r"block: 8 \* 1 is not a multiple of 3"),
+    ):
+        with pytest.raises(RuntimeError, match=message):
+            _orbit_tally(GroupUniverse(make_group(moduli)), False)
 
 
 def _prefix_counts(by_top):

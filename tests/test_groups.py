@@ -262,7 +262,7 @@ def test_automorphism_tables_are_automorphisms():
 def test_orbits_partition_the_nonzero_elements():
     for n in range(1, 25):
         for g in abelian_groups_of_order(n):
-            orbits = g.orbits
+            orbits = g.fixing_orbits((), range(1, n))
             assert sorted(x for orbit in orbits for x in orbit) == list(range(1, n))
             assert [len(o) for o in orbits] == sorted((len(o) for o in orbits), reverse=True)
             for orbit in orbits:
@@ -272,9 +272,9 @@ def test_orbits_partition_the_nonzero_elements():
     # the generators reach the full automorphism orbits of these groups;
     # 2 generates the units modulo 37, so one dilation table suffices
     assert len(make_group([37]).automorphisms) == 1
-    assert [len(o) for o in make_group([37]).orbits] == [36]
-    assert [len(o) for o in make_group([2, 2, 2, 2, 2]).orbits] == [31]
-    assert [len(o) for o in make_group([4, 4, 2]).orbits] == [24, 4, 3]
+    for moduli, sizes in (([37], [36]), ([2, 2, 2, 2, 2], [31]), ([4, 4, 2], [24, 4, 3])):
+        g = make_group(moduli)
+        assert [len(o) for o in g.fixing_orbits((), range(1, g.order))] == sizes
 
 
 def test_automorphism_check_rejects_a_non_automorphism():
@@ -304,21 +304,35 @@ def test_stabiliser_orbits():
         for g in abelian_groups_of_order(n):
             add = [[g.add_index(a, b) for b in range(n)] for a in range(n)]
             whole = _generated_group(g.automorphisms, n) if n <= 16 else None
-            assert len(g.stabiliser_orbits) == len(g.orbits)
-            for i, (orbit, blocks) in enumerate(zip(g.orbits, g.stabiliser_orbits)):
+            orbits = g.fixing_orbits((), range(1, n))
+            for i, orbit in enumerate(orbits):
                 r = orbit[0]
                 # the blocks split r's orbit and the later ones, r left out
-                later = sorted(x for o in g.orbits[i:] for x in o if x != r)
+                later = sorted(x for o in orbits[i:] for x in o if x != r)
+                blocks = g.fixing_orbits((r,), later)
                 assert sorted(x for b in blocks for x in b) == later, (g.moduli, r)
                 assert [len(b) for b in blocks] == sorted(map(len, blocks), reverse=True)
                 # candidates of {r}: neither 2r nor a half of r
-                candidates = {x for x in later if x != add[r][r] and add[x][x] != r}
-                for b in blocks:  # _orbit_tally roots a walk at r and b[0] when len(b) > 1
-                    assert set(b) <= candidates or len(b) == 1, (g.moduli, r, b)
+                candidates = [x for x in later if x != add[r][r] and add[x][x] != r]
+                for b in blocks:
+                    assert set(b) <= set(candidates) or len(b) == 1, (g.moduli, r, b)
+                # _orbit_tally passes the candidates alone, which drops the
+                # singletons 2r and the halves of r
+                kept = tuple(b for b in blocks if set(b) <= set(candidates))
+                assert g.fixing_orbits((r,), candidates) == kept, (g.moduli, r)
                 if whole:  # the orbits of the automorphisms that fix r
                     fixing = [h for h in whole if h[r] == r]
                     expected = {frozenset(h[x] for h in fixing) for x in later}
                     assert set(map(frozenset, blocks)) == expected, (g.moduli, r)
-    # Z_41's units act regularly: every stabiliser is trivial
-    (blocks,) = make_group([41]).stabiliser_orbits
-    assert len(blocks) == 39 and {len(b) for b in blocks} == {1}
+                    # and of those that fix r and q too: the next rooting step
+                    for q in candidates:
+                        rest = [x for x in range(1, n) if x not in (r, q)]
+                        pair = [h for h in fixing if h[q] == q]
+                        expected = {frozenset(h[x] for h in pair) for x in rest}
+                        got = g.fixing_orbits((r, q), rest)
+                        assert sorted(x for b in got for x in b) == rest, (g.moduli, r, q)
+                        assert set(map(frozenset, got)) == expected, (g.moduli, r, q)
+    # Z_41's units act regularly: every stabiliser is trivial, and of the
+    # 39 other nonzero elements 2 and the half 21 of 1 are no candidates
+    blocks = make_group([41]).fixing_orbits((1,), [x for x in range(2, 41) if x not in (2, 21)])
+    assert len(blocks) == 37 and {len(b) for b in blocks} == {1}
