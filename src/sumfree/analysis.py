@@ -90,6 +90,8 @@ def verify_index2_structure(g: GroupSpec,
 
 def coset_floor_check(g: GroupSpec) -> bool:
     """Maximum sum-free cardinality reaches order/q, q the least prime divisor."""
+    if g.order < 2:
+        raise ValueError("coset floor check needs a nontrivial group")
     q = sorted(prime_factors(g.order))[0]
     return _maximum(GroupUniverse(g), 1)[0].cardinality >= g.order // q
 

@@ -20,8 +20,7 @@ two translations of index masks (GroupSpec.translation_steps).
 Interval counts do not visit every set.  Sets that hold the same members
 x with x + v <= hi and forbid the same slots from v on have the same
 extensions above slot v, so the count is a forward transfer: each layer
-maps that state to its number of sets, and a state with no such member
-once 2v > hi counts the subsets of its free candidates at once.  It runs
+maps that state to its number of sets, carried to the last slot.  It runs
 from each of at least 8 shard roots, keeping the layers small.  Counting
 a set as x^|s|, x a large power of two, packs the histogram into the
 same transfer.  The maximal count walks only the sets that can still
@@ -122,12 +121,11 @@ def _interval_walk(u: IntervalUniverse, shard_index: int, shard_count: int,
     t and, below it, the members x with x + t + lo <= hi (at a root, all).
     Each count is the sum of x^|s| over its sets at x = 2^width: with
     width 0 the number of sets, with a wide enough width their packed
-    cardinality histogram.  A join multiplies by x, and the i-th smallest
-    candidate of a free tail tops x(1 + x)^(i - 1) of its subsets.
+    cardinality histogram.  A join multiplies by x and files the joined
+    sets under slot t; every key is carried to the last slot.
     """
     lo, hi, window, size = u.lo, u.hi, u.ground_mask, u.ground_size
     by_top = [0] * (size + 1)
-    tails: dict[int, int] = {}  # keys no member can sum in: free slots -> sets
     roots = max(shard_count, 8)
     for j in range(shard_index, roots, shard_count):
         root = _shard_root(u, j, roots)
@@ -141,13 +139,9 @@ def _interval_walk(u: IntervalUniverse, shard_index: int, shard_count: int,
             v, bit, new, joined = t + lo, 1 << t, {}, 0
             # the next key: members x with x + v < hi, forbidden slots above t
             mask = (1 << max(0, min(t + 1, hi - 2 * lo - t))) - 1 | window & -(bit << 1)
-            low, tail, out = bit - 1, 2 * v > hi, mask & ~bit
+            low, out = bit - 1, mask & ~bit
             while layer:
                 key, n = layer.popitem()
-                if tail and not key & low:
-                    free = window & ~key & -bit
-                    tails[free] = tails.get(free, 0) + n
-                    continue
                 k = key & out
                 new[k] = new.get(k, 0) + n
                 if not key & bit:
@@ -157,13 +151,6 @@ def _interval_walk(u: IntervalUniverse, shard_index: int, shard_count: int,
                     joined += n
             by_top[t + 1] += joined
             layer = new
-    for free, n in tails.items():
-        n <<= width
-        while free:  # the i-th smallest candidate tops x(1 + x)^(i - 1) subsets
-            b = free & -free
-            free ^= b
-            by_top[b.bit_length()] += n
-            n += n << width
     return by_top
 
 
@@ -390,6 +377,8 @@ def count_by_largest(u: IntervalUniverse) -> list[int]:
     counts of every [lo, n], n <= hi.  It is the transfer that
     count_sum_free sums, kept by largest element.
     """
+    if not isinstance(u, IntervalUniverse):
+        raise TypeError(f"count_by_largest needs an interval universe, got {u.describe()}")
     _require_ground(u, DEFAULT_GROUND_CAP)
     return _interval_walk(u, 0, 1)
 

@@ -266,7 +266,7 @@ def make_group(moduli: Iterable[int]) -> GroupSpec:
 
 def group_from_json(data: dict) -> GroupSpec:
     """Parse the wire form {"moduli": [...]}."""
-    if not isinstance(data, dict) or "moduli" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("moduli"), list):
         raise ValueError('expected an object of the form {"moduli": [...]}')
     return make_group(data["moduli"])
 

@@ -68,6 +68,8 @@ def test_coset_floor_examples():
     assert coset_floor_check(make_group([6]))
     assert coset_floor_check(make_group([9]))
     assert coset_floor_check(make_group([5]))
+    with pytest.raises(ValueError, match="nontrivial"):
+        coset_floor_check(abelian_groups_of_order(1)[0])
 
 
 def test_weighted_density_n6():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -599,6 +600,29 @@ def test_sharded_sweep_matches_unsharded():
         count_sum_free_sharded(IntervalUniverse(1, 5), 0, 3)
     with pytest.raises(CapacityError):
         count_by_largest(IntervalUniverse(1, 41))
+    with pytest.raises(TypeError, match=r"interval universe, got group\[5\]"):
+        count_by_largest(GroupUniverse(make_group([5])))
+
+
+def test_wide_windows_match_closed_forms():
+    # below 2 * lo no two members sum inside the window, so every subset is
+    # sum-free; at hi = 2 * lo the one sum is lo + lo, so a set fails exactly
+    # when it holds lo and 2 * lo: f = 3 * 2^(size - 2), with the window
+    # minus lo and minus 2 * lo the maximal sets
+    for lo, hi in ((13, 25), (20, 39), (33, 50), (40, 79), (13, 26), (20, 40), (25, 50)):
+        u, size = IntervalUniverse(lo, hi), hi - lo + 1
+        rec = build_count_record(u, with_maximal=True, with_cardinality=True)
+        if hi < 2 * lo:
+            assert count_by_largest(u) == [1] + [1 << i for i in range(size)], (lo, hi)
+            hist = {k: math.comb(size, k) for k in range(size + 1)}
+            assert (rec.f, rec.f_max, rec.by_cardinality) == (1 << size, 1, hist), (lo, hi)
+        else:
+            hist = {k: c for k in range(size + 1)
+                    if (c := math.comb(size, k) - (math.comb(size - 2, k - 2) if k > 1 else 0))}
+            assert (rec.f, rec.f_max, rec.by_cardinality) == (3 << size - 2, 2, hist), (lo, hi)
+        for k in (2, 8, 64):
+            total = sum(count_sum_free_sharded(u, i, k) for i in range(k))
+            assert total == rec.f, (lo, hi, k)
 
 
 def test_orbit_counts_match_plain_shards():

@@ -246,6 +246,10 @@ def test_group_json_round_trip():
 def test_group_from_json_rejects_string_moduli():
     with pytest.raises(ValueError, match="must be an integer"):
         group_from_json({"moduli": ["3"]})
+    # an int is not iterable, and a string would be read one character at a time
+    for moduli in (6, "23", None):
+        with pytest.raises(ValueError, match="moduli"):
+            group_from_json({"moduli": moduli})
 
 
 def test_automorphism_tables_are_automorphisms():

@@ -8,15 +8,16 @@ count, the maximal count and the cardinality histogram (one fused
 build_count_record), then the list of maximum sum-free sets
 (enumerate_maximum, element indices), then, up to order 24, the maximal
 sets (enumerate_maximal, sorted).  Then one line per interval window,
-every [lo, hi] with hi <= 24 and [1, n] for 25 <= n <= 33: the window,
-the same count, maximal count and histogram, the counts by largest
-element (count_by_largest) and the maximum sets (values), then, for
-hi <= 24, the maximal sets (enumerate_maximal, sorted).  Then one line
-per [1, n], n <= 18, with the two-wise count (count_two_wise).  Last, one
-more line per abelian group of order 2-64: the moduli, the witness of
-density_report, the index-2 subgroups (index2_subgroups, members sorted)
-and the maximal sets of cardinality 2 (maximal_sets_of_size).  Only the
-standard library is used.
+every [lo, hi] with hi <= 24 and [1, n] for 25 <= n <= 40 (the ground
+cap of a count): the window, the same count, maximal count and
+histogram, the counts by largest element (count_by_largest) and the
+maximum sets (values), then, for hi <= 24, the maximal sets
+(enumerate_maximal, sorted).  Then one line per [1, n], n <= 18, with
+the two-wise count (count_two_wise).  Last, one more line per abelian
+group of order 2-64: the moduli, the witness of density_report, the
+index-2 subgroups (index2_subgroups, members sorted) and the maximal
+sets of cardinality 2 (maximal_sets_of_size).  Only the standard library
+is used.
 
 To compare two commits, extract each with `git archive REV | tar -x -C DIR`,
 run `python3 DIR/tools/offline_dump.py > REV.txt` on each and diff the
@@ -67,7 +68,7 @@ def _maximal(u: Universe) -> str:
 
 
 def dump_lines(count_order: int = 41, maximum_order: int = 64,
-               window_hi: int = 24, prefix_hi: int = 33,
+               window_hi: int = 24, prefix_hi: int = 40,
                two_wise_hi: int = 18, structure_order: int = 64) -> Iterator[str]:
     """The dump's lines: group counts up to count_order, group maximum sets up
     to maximum_order, then the windows [lo, hi], hi <= window_hi, and [1, n],
