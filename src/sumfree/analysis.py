@@ -10,7 +10,8 @@ from typing import Optional
 
 from ._record import Record
 from .arith import divisors, is_prime, prime_factors
-from .enumeration import _maximum, count_sum_free, enumerate_maximum, maximal_sets_of_size
+from .enumeration import (_maximum, build_count_record, count_sum_free, enumerate_maximum,
+                          maximal_sets_of_size)
 from .groups import Element, GroupSpec, Subgroup, abelian_groups_of_order, index2_subgroups
 from .universe import (
     ElemSet,
@@ -177,16 +178,15 @@ def structure_verdict(s: ElemSet) -> StructureVerdict:
 def decomposition_ratio(n: int) -> Fraction:
     """f(n) against the odd-count plus top-interval-count decomposition.
 
-    Exact value of f(n) / (f(ceil(n/3), n) + 2^ceil(n/2)); the
+    Exact value of f / (f_interval + f_odd) in build_count_record of
+    [1, n], that is f(n) / (f(ceil(n/3), n) + 2^ceil(n/2)); the
     approximation it probes is asymptotic, so this is a trend readout,
     not an identity.  count_sum_free's cap bounds n (CapacityError).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    f = count_sum_free(IntervalUniverse(1, n))
-    f_tail = count_sum_free(IntervalUniverse((n + 2) // 3, n))
-    f_odd = 1 << ((n + 1) // 2)
-    return Fraction(f, f_tail + f_odd)
+    rec = build_count_record(IntervalUniverse(1, n))
+    return Fraction(rec.f, rec.f_interval + rec.f_odd)
 
 
 def _maximal_of_size(g: GroupSpec, size: int) -> list[ElemSet]:

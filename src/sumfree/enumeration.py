@@ -56,6 +56,8 @@ from .universe import (
     GroupUniverse,
     IntervalUniverse,
     Universe,
+    _mask_of,
+    _positions,
     is_sum_free,
 )
 from .errors import DEFAULT_GROUND_CAP, MAXIMUM_CAP, CapacityError
@@ -244,15 +246,14 @@ def _orbit_tally(u: GroupUniverse, maximal: bool) -> list[int]:
 
     def root(prefix: tuple[int, ...], f: int, left: int, steps: list[int], stride: int,
              tally: list[int]) -> None:
-        s = sum(1 << y for y in prefix)
+        s = _mask_of(prefix, group.order)
         if len(prefix) < ORBIT_DEPTH:
             candidates = left & ~f
-            for block in group.fixing_orbits(prefix, [y for y in range(group.order)
-                                                      if candidates >> y & 1]):
+            for block in group.fixing_orbits(prefix, _positions(candidates)):
                 if len(block) == 1:  # the larger ones come first
                     break
                 q, size = block[0], len(block)
-                qmask, width = sum(1 << y for y in block), size + 1
+                qmask, width = _mask_of(block, group.order), size + 1
                 counts = [0] * (len(tally) * width)  # [cell * width + m]
                 root(prefix + (q,), forbid(s, f, q) | 1 << q, left,
                      [step * width + (qmask >> y & 1) for y, step in enumerate(steps)],
@@ -526,12 +527,7 @@ def count_two_wise(n: int) -> int:
     found: list[int] = []
     _interval_maximal(IntervalUniverse(1, n), found)
     size = max(1 << n >> 3, 1)  # bytes; masks past 2^n stay clear
-    marks = bytearray(size)
-    for i, a in enumerate(found):
-        for b in found[i:]:
-            u = a | b
-            marks[u >> 3] |= 1 << (u & 7)
-    bits = int.from_bytes(marks, "little")
+    bits = _mask_of((a | b for i, a in enumerate(found) for b in found[i:]), (1 << n) - 1)
     for i in range(n):
         if i < 3:
             pattern = bytes([(0xAA, 0xCC, 0xF0)[i]])

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 from ._record import Record
 from .arith import partitions, prime_factors
 from .errors import DEFAULT_MAX_ORDER, CapacityError
-from .universe import _rotate
+from .universe import _mask_of, _positions, _rotate
 
 
 class Element(Record):
@@ -86,12 +86,10 @@ class GroupSpec(Record):
         return Element((0,) * len(self.moduli), 0)
 
     def add(self, a: Element, b: Element) -> Element:
-        c = tuple((x + y) % m for x, y, m in zip(a.coords, b.coords, self.moduli))
-        return Element(c, self.coords_to_index(c))
+        return self.element_at(self.add_index(a.index, b.index))
 
     def neg(self, a: Element) -> Element:
-        c = tuple((-x) % m for x, m in zip(a.coords, self.moduli))
-        return Element(c, self.coords_to_index(c))
+        return self.element_at(self.neg_index(a.index))
 
     def add_index(self, i: int, j: int) -> int:
         out = 0
@@ -276,7 +274,8 @@ class Subgroup(Record):
 
     The identity is always a member, which is why members are raw indices
     rather than an ElemSet (group universes drop the identity from their
-    ground set).  Construction checks closure and the Lagrange condition.
+    ground set).  Construction checks that the members are indices of the
+    parent, closure and the Lagrange condition.
     """
 
     parent: GroupSpec
@@ -286,9 +285,11 @@ class Subgroup(Record):
         g = self.parent
         if 0 not in self.members:
             raise ValueError("subgroup must contain the identity")
+        if min(self.members) < 0 or max(self.members) >= g.order:
+            raise ValueError(f"subgroup members must be element indices in [0, {g.order})")
         if g.order % len(self.members) != 0:
             raise ValueError("subgroup size does not divide the group order")
-        mem, neg, mask = self.members, g.negation, sum(1 << i for i in self.members)
+        mem, neg, mask = self.members, g.negation, _mask_of(self.members, g.order)
         for i in mem:
             if neg[i] not in mem:
                 raise ValueError("subgroup not closed under negation")
@@ -308,7 +309,7 @@ def generated_subgroup(g: GroupSpec, gens: Sequence[Element]) -> Subgroup:
         mask = grown
         for e in gens:
             grown |= g.translate(mask, e.index)
-    return Subgroup(g, frozenset(i for i in range(g.order) if mask >> i & 1))
+    return Subgroup(g, frozenset(_positions(mask)))
 
 
 def index2_subgroups(g: GroupSpec) -> list[Subgroup]:
@@ -324,7 +325,7 @@ def index2_subgroups(g: GroupSpec) -> list[Subgroup]:
         if m % 2 == 0:
             mask = full // ((1 << 2 * r) - 1) * (((1 << r) - 1) << r)
             odd += [x ^ mask for x in odd]
-    return [Subgroup(g, frozenset(i for i in range(g.order) if not x >> i & 1)) for x in odd[1:]]
+    return [Subgroup(g, frozenset(_positions(full ^ x))) for x in odd[1:]]
 
 
 def abelian_groups_of_order(n: int) -> list[GroupSpec]:

@@ -23,6 +23,11 @@ take candidates from slot first_slot on; forbid(s, f, slot) turns the
 forbidden mask f of s into that of s plus the element at slot (for an
 interval, a slot above s), and excluded(c, slot) bounds how much of c a
 sum-free set holding that element must leave out.
+
+Masks and positions convert only through _positions, which reads the
+mask's bytes (zero bytes skipped, the bits of the others looked up), and
+_mask_of, which sets bits in a bytearray: O(width / 8 + members) at any
+width, where a per-bit step on a big int would rewrite it whole.
 """
 
 from functools import cached_property
@@ -34,11 +39,32 @@ from .errors import DEFAULT_MAX_ORDER, CapacityError
 if TYPE_CHECKING:
     from .groups import GroupSpec
 
-# Masks at least this wide are built and read through bytes:
-# per-bit big-int steps would cost O(width) each.  Narrower masks keep the
-# per-bit loops, which are faster on small sets.
-_WIDE_MASK_BITS = 2048
 _NONZERO_BYTES = bytes([0] + [1] * 255)  # translation table: nonzero bytes to 1
+_BYTE_BITS = [()]  # _BYTE_BITS[b]: the set bits of the byte b, ascending
+for _bit in range(8):
+    _BYTE_BITS += [bits + (_bit,) for bits in _BYTE_BITS]
+
+
+def _positions(mask: int) -> list[int]:
+    """The set bits of a nonnegative mask, ascending."""
+    out = []
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    marks = data.translate(_NONZERO_BYTES)
+    i = marks.find(1)
+    while i >= 0:
+        base = 8 * i
+        for b in _BYTE_BITS[data[i]]:
+            out.append(base + b)
+        i = marks.find(1, i + 1)
+    return out
+
+
+def _mask_of(positions: Iterable[int], width: int) -> int:
+    """The mask with the given bits set, each position in [0, width]."""
+    buf = bytearray(width // 8 + 1)
+    for i in positions:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
 
 
 def _rotate(mask: int, steps: tuple[tuple[int, int, int], ...]) -> int:
@@ -217,17 +243,7 @@ class ElemSet(Record):
 
     @classmethod
     def from_values(cls, universe: Universe, values: Iterable[int]) -> "ElemSet":
-        if universe.ground_size < _WIDE_MASK_BITS:
-            mask = 0
-            for v in values:
-                mask |= 1 << universe.slot_of(v)
-            return cls(universe, mask)
-        # each mask |= bit would rewrite the whole int: set bytes instead
-        buf = bytearray(universe.ground_size // 8 + 1)
-        for v in values:
-            i = universe.slot_of(v)
-            buf[i >> 3] |= 1 << (i & 7)
-        return cls(universe, int.from_bytes(buf, "little"))
+        return cls(universe, _mask_of(map(universe.slot_of, values), universe.ground_size))
 
     @classmethod
     def empty(cls, universe: Universe) -> "ElemSet":
@@ -239,26 +255,7 @@ class ElemSet(Record):
 
     def members(self) -> tuple[int, ...]:
         """Member values in ascending canonical order."""
-        out = []
-        m, value_of = self.mask, self.universe.value_of
-        if m.bit_length() < _WIDE_MASK_BITS:
-            while m:
-                b = m & -m
-                m ^= b
-                out.append(value_of(b.bit_length() - 1))
-            return tuple(out)
-        # each m ^= b would rewrite the whole int: find the nonzero bytes
-        data = m.to_bytes((m.bit_length() + 7) // 8, "little")
-        marks = data.translate(_NONZERO_BYTES)
-        i = marks.find(1)
-        while i >= 0:
-            byte = data[i]
-            while byte:
-                low = byte & -byte
-                byte ^= low
-                out.append(value_of(8 * i + low.bit_length() - 1))
-            i = marks.find(1, i + 1)
-        return tuple(out)
+        return tuple(map(self.universe.value_of, _positions(self.mask)))
 
     def __contains__(self, v: int) -> bool:
         if not self.universe.contains_value(v):
@@ -346,8 +343,8 @@ def is_maximal_sum_free(u: Universe, s: ElemSet) -> bool:
         diffs |= u.minus(mask, x)
     if sums & mask:
         return False
-    rest = bin(u.ground_mask & ~(mask | sums | diffs))[:1:-1]  # bit i at position i
-    return all(u.plus(1 << i, u.value_of(i)) & mask for i, c in enumerate(rest) if c == "1")
+    rest = u.ground_mask & ~(mask | sums | diffs)
+    return all(u.plus(1 << i, u.value_of(i)) & mask for i in _positions(rest))
 
 
 def is_two_wise_sum_free(u: Universe, s: ElemSet) -> bool:

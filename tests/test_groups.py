@@ -146,10 +146,10 @@ def test_index2_count_matches_even_components():
 def test_index2_parity_masks_match_coordinate_oracle():
     # the kernels come from whole-index parity masks; the oracle reads each
     # element's coordinates
-    for order in range(1, 65):
-        for g in abelian_groups_of_order(order):
-            got = [s.members for s in index2_subgroups(g)]
-            assert got == index2_kernel_oracle(g.moduli), g.moduli
+    wide = [GroupSpec((2, 256)), GroupSpec((4, 2, 32)), GroupSpec((2,) * 8)]  # past one word
+    for g in [g for order in range(1, 65) for g in abelian_groups_of_order(order)] + wide:
+        got = [s.members for s in index2_subgroups(g)]
+        assert got == index2_kernel_oracle(g.moduli), g.moduli
 
 
 def _all_subgroups(g: GroupSpec) -> set[frozenset[int]]:
@@ -208,6 +208,9 @@ def test_subgroup_validation():
         Subgroup(z6, frozenset({0, 1}))  # not closed
     with pytest.raises(ValueError, match="addition"):
         Subgroup(z6, frozenset({0, 1, 5}))
+    for outside in ({0, 6}, {0, 3, -3}):  # no indices of z6
+        with pytest.raises(ValueError, match=r"element indices in \[0, 6\)"):
+            Subgroup(z6, frozenset(outside))
     Subgroup(z6, frozenset({0, 3}))  # fine
 
 

@@ -159,8 +159,8 @@ def test_greedily_grown_sets_are_maximal(u, rnd):
 @st.composite
 def value_lists(draw):
     """A universe, values drawn from it (some repeated) and one value outside
-    it.  Intervals reach 2^20 elements, so that both the narrow and the
-    wide mask forms of ElemSet run."""
+    it.  Intervals reach 2^20 elements, so that ElemSet's masks run from
+    one machine word to many thousands."""
     if draw(st.booleans()):
         hi = draw(st.integers(1, 1 << 20))
         u = IntervalUniverse(draw(st.integers(1, hi)), hi)

@@ -162,6 +162,14 @@ def test_is_maximal_examples():
         un = IntervalUniverse(1, n)
         odd = ElemSet.from_values(un, range(1, n + 1, 2))
         assert is_maximal_sum_free(un, odd)
+    # masks many machine words wide
+    wide = IntervalUniverse(1, 5000)
+    odd = range(1, 5001, 2)
+    assert is_maximal_sum_free(wide, ElemSet.from_values(wide, odd))
+    assert not is_maximal_sum_free(wide, ElemSet.from_values(wide, set(odd) - {2501}))
+    z = GroupUniverse(make_group([3000]))
+    assert is_maximal_sum_free(z, ElemSet.from_values(z, range(1001, 2001)))
+    assert not is_maximal_sum_free(z, ElemSet.from_values(z, range(1001, 2000)))
     # non-sum-free sets are never maximal
     assert not is_maximal_sum_free(u, ElemSet.from_values(u, [1, 2]))
 
