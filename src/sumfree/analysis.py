@@ -154,7 +154,7 @@ def structure_verdict(s: ElemSet) -> StructureVerdict:
     u = s.universe
     if not isinstance(u, IntervalUniverse):
         raise ValueError("structure law applies to integer interval sets")
-    if not is_sum_free(u, s):
+    if not is_sum_free(s):
         raise ValueError("set is not sum-free")
     members = s.members()
     if not members:
@@ -195,7 +195,7 @@ def _maximal_of_size(g: GroupSpec, size: int) -> list[ElemSet]:
     u = GroupUniverse(g)
     found = maximal_sets_of_size(u, size)
     for s in found:
-        if not is_maximal_sum_free(u, s):
+        if not is_maximal_sum_free(s):
             raise AssertionError(f"walk and predicate disagree on {s.members()} in {g.moduli}")
     return found
 

@@ -21,7 +21,6 @@ as p/q next to a float column.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import math
 import sys
@@ -80,6 +79,8 @@ def _emit(text: str, path: Optional[str]) -> None:
 
 
 def _rows_to_csv(fieldnames: list[str], rows: list[dict]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
@@ -128,14 +129,14 @@ def cmd_verify(args) -> int:
 
     u = _universe_from_args(args)
     s = ElemSet.from_values(u, _read_int_array(args.set))
-    sf = is_sum_free(u, s)
+    sf = is_sum_free(s)
     report = {
         "universe": u.describe(),
         "set": s.to_json_list(),
         "sum_free": sf,
-        "maximal_sum_free": is_maximal_sum_free(u, s),
-        "two_wise_sum_free": is_two_wise_sum_free(u, s),
-        "schur_triples": count_schur_triples(u, s),
+        "maximal_sum_free": is_maximal_sum_free(s),
+        "two_wise_sum_free": is_two_wise_sum_free(s),
+        "schur_triples": count_schur_triples(s),
     }
     if args.format == "json":
         _emit_json(report, args.out)

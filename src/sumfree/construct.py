@@ -98,7 +98,7 @@ def lift_residues(a: ElemSet, window_hi: int) -> ElemSet:
     base = a.universe
     if not isinstance(base, GroupUniverse) or len(base.group.moduli) != 1:
         raise ValueError("base set must live in a cyclic group universe Z_n")
-    if not is_sum_free(base, a):
+    if not is_sum_free(a):
         raise ValueError("base set is not sum-free, the lift would not be either")
     if window_hi < 1:
         raise ValueError(f"need window_hi >= 1, got {window_hi}")
@@ -118,6 +118,4 @@ def middle_block(p: int) -> ElemSet:
     """
     if not is_prime(p) or p % 3 != 2:
         raise ValueError(f"need a prime p = 2 (mod 3), got {p}")
-    k = (p - 2) // 3
-    u = GroupUniverse(make_group([p]))
-    return ElemSet.from_values(u, range(k + 1, 2 * k + 2))
+    return middle_third(p)  # p/3 < x <= 2p/3 is k + 1 <= x <= 2k + 1

@@ -299,7 +299,7 @@ def enumerate_naive(u: Universe, visit: Optional[Callable[[ElemSet], None]] = No
     for pattern in range(1 << len(ground)):
         values = [ground[j] for j in range(len(ground)) if (pattern >> j) & 1]
         s = ElemSet.from_values(u, values)
-        if is_sum_free(u, s):
+        if is_sum_free(s):
             count += 1
             if visit is not None:
                 visit(s)

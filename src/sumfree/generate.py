@@ -135,6 +135,8 @@ def residue_weights(elements: Sequence[int], p: int) -> dict[int, int]:
     Every residue 1..p-1 is present in the result, zero counts included;
     an input divisible by p is an error (the prime was unusable).
     """
+    if p < 2:
+        raise ValueError(f"need a modulus p >= 2, got {p}")
     weights = {x: 0 for x in range(1, p)}
     for a in elements:
         r = a % p
@@ -155,6 +157,8 @@ def find_dilator(weights: dict[int, int], p: int) -> int:
         raise ValueError(f"need a prime p = 2 (mod 3), got {p}")
     k = (p - 2) // 3
     total = sum(weights.values())
+    if total < 1:
+        raise ValueError(f"need a positive total weight, got {total} from {weights}")
     for t in range(1, p):
         hit = sum(w for x, w in weights.items() if k < t * x % p <= 2 * k + 1)
         if 3 * hit > total:

@@ -17,6 +17,9 @@ Two conventions matter everywhere downstream:
 Interval sums that overflow the window are simply outside every subset,
 never an error.
 
+The predicates read the universe off the set; is_a_free refuses two sets
+over different universes with ValueError.
+
 Each universe is also the one home of its mask arithmetic: plus and minus
 for the predicates, and the step of every walk in enumeration.py.  Walks
 take candidates from slot first_slot on; forbid(s, f, slot) turns the
@@ -276,38 +279,31 @@ class ElemSet(Record):
         return list(self.members())
 
 
-def _check_universe(u: Universe, *sets: ElemSet) -> None:
-    for s in sets:
-        if s.universe != u:
-            raise ValueError(
-                f"set over {s.universe.describe()} used with {u.describe()}"
-            )
+def _misses_sums(u: Universe, mask: int, addends: Iterable[int]) -> bool:
+    """True iff mask + x misses mask for every x in addends."""
+    return not any(u.plus(mask, x) & mask for x in addends)
 
 
-def is_sum_free(u: Universe, s: ElemSet) -> bool:
+def is_sum_free(s: ElemSet) -> bool:
     """True iff no x, y in s (x = y allowed) have x + y in s: s + x misses s."""
-    _check_universe(u, s)
-    mask = s.mask
-    for x in s.members():
-        if u.plus(mask, x) & mask:
-            return False
-    return True
+    return _misses_sums(s.universe, s.mask, s.members())
 
 
-def is_a_free(u: Universe, s: ElemSet, a: ElemSet) -> bool:
-    """True iff (s + a) and s are disjoint; is_a_free(u, s, s) is sum-freeness."""
-    _check_universe(u, s, a)
-    return not any(u.plus(s.mask, x) & s.mask for x in a.members())
+def is_a_free(s: ElemSet, a: ElemSet) -> bool:
+    """True iff (s + a) and s are disjoint; is_a_free(s, s) is sum-freeness."""
+    if a.universe != s.universe:
+        raise ValueError(f"sets over {s.universe.describe()} and {a.universe.describe()}")
+    return _misses_sums(s.universe, s.mask, a.members())
 
 
-def is_difference_free(u: Universe, s: ElemSet) -> bool:
+def is_difference_free(s: ElemSet) -> bool:
     """True iff s avoids its own difference set {b - c}.
 
     Agrees with is_sum_free on every input, but is computed through the
     difference set on purpose so the two predicates stay independent
     checks of each other.
     """
-    _check_universe(u, s)
+    u = s.universe
     mem = s.members()
     for b in mem:
         for c in mem:
@@ -317,26 +313,24 @@ def is_difference_free(u: Universe, s: ElemSet) -> bool:
     return True
 
 
-def count_schur_triples(u: Universe, s: ElemSet) -> int:
+def count_schur_triples(s: ElemSet) -> int:
     """Number of ordered pairs (a, b) from s with a + b also in s.
 
     Equivalently the number of 3-tuples (a, b, c), a + b = c, all in s;
     zero exactly when s is sum-free.
     """
-    _check_universe(u, s)
-    mask = s.mask
+    u, mask = s.universe, s.mask
     return sum((u.plus(mask, x) & mask).bit_count() for x in s.members())
 
 
-def is_maximal_sum_free(u: Universe, s: ElemSet) -> bool:
+def is_maximal_sum_free(s: ElemSet) -> bool:
     """True iff s is sum-free and no ground element can be added to it.
 
     A candidate v cannot join s when it is a sum (v = x + y), a difference
     (v + x = y) or a half (v + v = y) of members.  The first two are
     masks; the few candidates they leave must each double into s.
     """
-    _check_universe(u, s)
-    mask = s.mask
+    u, mask = s.universe, s.mask
     sums = diffs = 0
     for x in s.members():
         sums |= u.plus(mask, x)
@@ -347,7 +341,7 @@ def is_maximal_sum_free(u: Universe, s: ElemSet) -> bool:
     return all(u.plus(1 << i, u.value_of(i)) & mask for i in _positions(rest))
 
 
-def is_two_wise_sum_free(u: Universe, s: ElemSet) -> bool:
+def is_two_wise_sum_free(s: ElemSet) -> bool:
     """True iff s splits into two disjoint sum-free parts (either may be empty).
 
     Decided by backtracking 2-coloring on an explicit stack, so that large
@@ -355,7 +349,7 @@ def is_two_wise_sum_free(u: Universe, s: ElemSet) -> bool:
     mask: v joins part p unless v is in it or v + (p | {v}) meets p | {v}.
     A sum-free set goes into the first part whole, without backtracking.
     """
-    _check_universe(u, s)
+    u = s.universe
     elems = s.members()
     parts, sums = [0, 0], [0, 0]
     chosen: list[tuple[int, int]] = []  # (part, its sums before) per placed element

@@ -171,7 +171,7 @@ def test_07_extraction_battery():
         tr = extract_sum_free(elems)
         assert set(tr.subset.members()) <= set(elems)
         assert 3 * tr.subset.cardinality > len(elems)
-        assert is_sum_free(tr.subset.universe, tr.subset)
+        assert is_sum_free(tr.subset)
         bound_hits += tr.within_prime_bound
     elapsed = time.monotonic() - t0
     report(7, "extraction yields a sum-free third on every instance", True,

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sumfree.arith import is_prime
 from sumfree.construct import (
     coset,
     extremal_intervals,
@@ -36,29 +37,29 @@ def test_odds_and_extremals_are_sum_free_with_half_cardinality():
     for n in range(1, 201):
         half = (n + 1) // 2
         o = odds(n)
-        assert o.cardinality == half and is_sum_free(o.universe, o)
+        assert o.cardinality == half and is_sum_free(o)
         for s in extremal_intervals(n):
-            assert s.cardinality == half and is_sum_free(s.universe, s)
+            assert s.cardinality == half and is_sum_free(s)
 
 
 def test_middle_third_examples():
     assert middle_third(6).members() == (3, 4)
     assert middle_third(3).members() == (2,)
     s = middle_third(6)
-    assert is_sum_free(s.universe, s)
+    assert is_sum_free(s)
     for n in range(2, 201):
         s = middle_third(n)
-        assert is_sum_free(s.universe, s)
+        assert is_sum_free(s)
 
 
 def test_outer_bands_examples():
     assert outer_bands(6).members() == (2, 5)
     s6 = outer_bands(6)
-    assert is_sum_free(s6.universe, s6)
+    assert is_sum_free(s6)
     s12 = outer_bands(12)
     assert s12.members() == (3, 4, 9, 10, 11)
     # the literal set is not sum-free here: 10 + 11 = 9 (mod 12)
-    assert not is_sum_free(s12.universe, s12)
+    assert not is_sum_free(s12)
 
 
 def test_coset_examples():
@@ -91,7 +92,7 @@ def test_coset_errors_and_properties():
             c = coset(h, pick)
             assert c.cardinality == len(h.members)
             assert not (set(c.members()) & h.members)
-            assert is_sum_free(c.universe, c)
+            assert is_sum_free(c)
 
 
 def test_periodic_residues_examples():
@@ -106,7 +107,7 @@ def test_periodic_residues_examples():
         n = rng.randint(2, 24)
         m = rng.randint(1, n - 1)
         s = periodic_residues(m, n, rng.randint(1, 500))
-        assert is_sum_free(s.universe, s)
+        assert is_sum_free(s)
 
 
 def test_lift_residues_examples():
@@ -129,7 +130,7 @@ def test_lift_residues_always_sum_free():
         for _ in range(6):
             base = rng.choice(family)
             lifted = lift_residues(base, rng.randint(1, 300))
-            assert is_sum_free(lifted.universe, lifted)
+            assert is_sum_free(lifted)
 
 
 def test_middle_block_examples():
@@ -142,4 +143,9 @@ def test_middle_block_examples():
     for p in (2, 5, 11, 17, 23, 29, 41, 53):
         b = middle_block(p)
         assert 3 * b.cardinality > p - 1
-        assert is_sum_free(b.universe, b)
+        assert is_sum_free(b)
+    for p in range(2, 500, 3):  # the block of p = 3k + 2 is its middle third
+        if is_prime(p):
+            k = (p - 2) // 3
+            assert middle_block(p) == middle_third(p), p
+            assert middle_third(p).members() == tuple(range(k + 1, 2 * k + 2)), p

@@ -90,7 +90,7 @@ def test_enumerate_sum_free_visits_every_set_once():
     total = enumerate_sum_free(u, seen.append)
     assert total == len(seen) == count_sum_free(u)
     assert len({s.members() for s in seen}) == total
-    assert all(is_sum_free(u, s) for s in seen)
+    assert all(is_sum_free(s) for s in seen)
     # a visit that returns True still sees every set
     assert enumerate_sum_free(u, lambda s: True) == total
 
@@ -225,7 +225,7 @@ def test_forbid_marks_exactly_the_candidates_that_break_sum_freeness():
                 top = s.bit_length() if isinstance(u, IntervalUniverse) else 0
                 candidates = [x for x in slots if x >= top and not s >> x & 1]
                 for x in candidates:
-                    blocked = not is_sum_free(u, ElemSet(u, s | 1 << x))
+                    blocked = not is_sum_free(ElemSet(u, s | 1 << x))
                     assert bool(f >> x & 1) == blocked, (u.describe(), s, x)
                 free = [x for x in candidates if not f >> x & 1]
                 if not free:
@@ -314,7 +314,7 @@ def test_maximal_scans_match_the_predicate_past_order_24():
             singles = [1 << x for x in range(1, order)]
             pairs = [1 << x | 1 << y for x in range(1, order) for y in range(x + 1, order)]
             for size, sets in ((1, singles), (2, pairs)):
-                expected = sorted(m for m in sets if is_maximal_sum_free(u, ElemSet(u, m)))
+                expected = sorted(m for m in sets if is_maximal_sum_free(ElemSet(u, m)))
                 got = [s.mask for s in maximal_sets_of_size(u, size)]
                 assert got == expected, (g.moduli, size)
 
@@ -366,14 +366,14 @@ def test_maximal_sets_verify_and_contain_maximum():
         GroupUniverse(make_group([2, 2, 3])),
     ):
         maximal = enumerate_maximal(u)
-        assert all(is_maximal_sum_free(u, s) for s in maximal)
+        assert all(is_maximal_sum_free(s) for s in maximal)
         assert count_maximal(u) == len(maximal)
         maximum = {s.members() for s in enumerate_maximum(u)}
         assert maximum <= {s.members() for s in maximal}
         # every non-maximal sum-free set is excluded
         family = []
         enumerate_sum_free(u, family.append)
-        expected = {s.members() for s in family if is_maximal_sum_free(u, s)}
+        expected = {s.members() for s in family if is_maximal_sum_free(s)}
         assert {s.members() for s in maximal} == expected
 
 
@@ -461,7 +461,7 @@ def _filtered(u):
     hist = {}
     for s in family:
         hist[s.cardinality] = hist.get(s.cardinality, 0) + 1
-    maximal = {s.members() for s in family if is_maximal_sum_free(u, s)}
+    maximal = {s.members() for s in family if is_maximal_sum_free(s)}
     return len(family), len(maximal), dict(sorted(hist.items())), maximal
 
 

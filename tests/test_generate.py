@@ -62,7 +62,7 @@ def test_random_sum_free_deterministic_and_valid():
         assert s1.members() == s2.members()
         assert s1.cardinality == 7
         assert 3 in s1
-        assert is_sum_free(s1.universe, s1)
+        assert is_sum_free(s1)
 
 
 def _random_reference(cfg):
@@ -75,7 +75,7 @@ def _random_reference(cfg):
             break
         candidate = rng.randint(1, cfg.sample_hi)
         augmented = s.with_value(candidate)
-        if rng.randint(1, 2) == 1 and is_sum_free(u, augmented):
+        if rng.randint(1, 2) == 1 and is_sum_free(augmented):
             s = augmented
     return s
 
@@ -172,12 +172,18 @@ def test_residue_weights_examples():
     assert w == {1: 2, 2: 0, 3: 0, 4: 0}
     with pytest.raises(ValueError):
         residue_weights([10], 5)
+    for p in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"got {p}"):
+            residue_weights([1, 2], p)
 
 
 def test_find_dilator_examples():
     assert find_dilator({1: 1, 2: 1, 3: 1, 4: 0}, 5) == 1
     assert find_dilator({1: 5, 2: 0, 3: 0, 4: 0}, 5) == 2  # need t*1 in {2, 3}
     assert find_dilator({1: 1, 2: 1, 3: 1, 4: 1}, 5) == 1  # smallest qualifying
+    for weights in ({1: 0, 2: 0, 3: 0, 4: 0}, {}):  # no weight: no third to catch
+        with pytest.raises(ValueError, match="got 0"):
+            find_dilator(weights, 5)
 
 
 def test_extract_examples():
@@ -192,7 +198,7 @@ def test_extract_examples():
 
     tr = extract_sum_free(range(2, 11))
     assert tr.subset.cardinality >= 4
-    assert is_sum_free(tr.subset.universe, tr.subset)
+    assert is_sum_free(tr.subset)
 
 
 def test_extract_validation():
@@ -232,7 +238,7 @@ def test_extract_battery():
         tr = extract_sum_free(elems)
         assert set(tr.subset.members()) <= set(elems)
         assert 3 * tr.subset.cardinality > len(elems)
-        assert is_sum_free(tr.subset.universe, tr.subset)
+        assert is_sum_free(tr.subset)
         assert (tr.dilator * tr.dilator_inverse) % tr.p == 1
         assert tr.total_weight == tr.n
 

@@ -1,6 +1,7 @@
 """The package's exported names and what each entry point imports."""
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -58,6 +59,14 @@ def test_every_name_is_the_defining_modules_object():
     assert set(sumfree.__all__) <= set(namespace)
 
 
+def test_predicates_take_sets_only():
+    params = {name: list(inspect.signature(getattr(sumfree, name)).parameters)
+              for name in EXPORTS["universe"] if name[0].islower()}
+    assert params == {"count_schur_triples": ["s"], "is_a_free": ["s", "a"],
+                      "is_difference_free": ["s"], "is_maximal_sum_free": ["s"],
+                      "is_sum_free": ["s"], "is_two_wise_sum_free": ["s"]}
+
+
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'count_everything'"):
         sumfree.count_everything  # noqa: B018
@@ -66,7 +75,7 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 # runs an entry point in a fresh interpreter and prints the sumfree modules it
-# loaded, and dataclasses, inspect and json if it loaded them
+# loaded, and csv, dataclasses, inspect and json if it loaded them
 _LOADED = """
 import contextlib, io, sys
 from sumfree.cli import build_parser, main
@@ -74,7 +83,7 @@ build_parser()
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         main(sys.argv[1:])
-print(*sorted(m for m in sys.modules if m in ("sumfree", "dataclasses", "inspect", "json")
+print(*sorted(m for m in sys.modules if m in ("sumfree", "csv", "dataclasses", "inspect", "json")
               or m.startswith("sumfree.")))
 """
 
@@ -116,5 +125,7 @@ def test_no_entry_point_loads_dataclasses_and_interval_jobs_load_no_groups(tmp_p
             assert not loaded & {"groups", "construct", "json"}, argv  # and reads no JSON
         if argv[:1] == ["extract"]:
             assert "analysis" not in loaded, argv
+        if argv[:1] in (["verify"], ["extract"], ["random"]):  # none of them writes CSV
+            assert "csv" not in loaded, argv
         if argv[:1] == ["sweep-groups"]:  # the density check builds no construction
             assert "construct" not in loaded, argv

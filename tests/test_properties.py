@@ -115,21 +115,21 @@ def _pairs_summing_inside(u, s):
 @given(small_sets())
 def test_mask_predicates_match_pairwise_scans(us):
     u, s = us
-    sf = is_difference_free(u, s)
+    sf = is_difference_free(s)
     triples = _pairs_summing_inside(u, s)
-    assert is_sum_free(u, s) == sf == (triples == 0)
-    assert count_schur_triples(u, s) == triples
+    assert is_sum_free(s) == sf == (triples == 0)
+    assert count_schur_triples(s) == triples
     extensible = [g for g in u.ground_values()
-                  if g not in s and is_difference_free(u, s.with_value(g))]
-    assert is_maximal_sum_free(u, s) == (sf and not extensible)
+                  if g not in s and is_difference_free(s.with_value(g))]
+    assert is_maximal_sum_free(s) == (sf and not extensible)
     members = s.members()
     splits = (
         [[x for x, side in zip(members, sides) if side == part] for part in (0, 1)]
         for sides in product((0, 1), repeat=len(members))
     )
-    two_wise = any(all(is_difference_free(u, ElemSet.from_values(u, part)) for part in split)
+    two_wise = any(all(is_difference_free(ElemSet.from_values(u, part)) for part in split)
                    for split in splits)
-    assert is_two_wise_sum_free(u, s) == two_wise
+    assert is_two_wise_sum_free(s) == two_wise
 
 
 @settings(max_examples=200, deadline=None)
@@ -139,7 +139,7 @@ def test_a_free_matches_the_pairwise_scan(us, data):
     a = _small_set(data.draw, u)
     assume(a != s)
     sums = (u.sum_value(x, y) for x, y in product(a.members(), s.members()))
-    assert is_a_free(u, s, a) == all(v is None or v not in s for v in sums)
+    assert is_a_free(s, a) == all(v is None or v not in s for v in sums)
 
 
 @settings(max_examples=200, deadline=None)
@@ -149,11 +149,11 @@ def test_greedily_grown_sets_are_maximal(u, rnd):
     rnd.shuffle(order)
     s = ElemSet.empty(u)
     for v in order:
-        if is_difference_free(u, s.with_value(v)):
+        if is_difference_free(s.with_value(v)):
             s = s.with_value(v)
-    assert is_maximal_sum_free(u, s)
+    assert is_maximal_sum_free(s)
     for v in s:  # s less one member extends by that member
-        assert not is_maximal_sum_free(u, ElemSet(u, s.mask ^ 1 << u.slot_of(v)))
+        assert not is_maximal_sum_free(ElemSet(u, s.mask ^ 1 << u.slot_of(v)))
 
 
 @st.composite
