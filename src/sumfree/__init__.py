@@ -34,7 +34,7 @@ _EXPORTS = {
         "find_dilator", "find_prime", "random_sum_free", "residue_weights",
     ),
     "groups": (
-        "Element", "GroupSpec", "Subgroup", "abelian_groups_of_order",
+        "GroupSpec", "Subgroup", "abelian_groups_of_order",
         "generated_subgroup", "group_from_json", "index2_subgroups", "make_group",
     ),
     "universe": (

@@ -12,7 +12,7 @@ from ._record import Record
 from .arith import divisors, is_prime, prime_factors
 from .enumeration import (_maximum, build_count_record, count_sum_free, enumerate_maximum,
                           maximal_sets_of_size)
-from .groups import Element, GroupSpec, Subgroup, abelian_groups_of_order, index2_subgroups
+from .groups import GroupSpec, Subgroup, abelian_groups_of_order, index2_subgroups
 from .universe import (
     ElemSet,
     GroupUniverse,
@@ -79,8 +79,8 @@ def verify_index2_structure(g: GroupSpec,
     max_card = maxima[0].cardinality
     if max_card > order // 2:
         raise AssertionError("sum-free set above half the group order")
-    half_sets = {frozenset(s.members()) for s in maxima if s.cardinality == order // 2}
-    cosets = {frozenset(range(order)) - h.members
+    half_sets = {s.mask for s in maxima if s.cardinality == order // 2}
+    cosets = {(1 << order) - 1 ^ h.mask
               for h in (index2_subgroups(g) if subgroups is None else subgroups)}
     if not cosets:
         raise AssertionError("even order but no index-2 subgroup")
@@ -200,18 +200,17 @@ def _maximal_of_size(g: GroupSpec, size: int) -> list[ElemSet]:
     return found
 
 
-def _singleton_witnesses(g: GroupSpec) -> tuple[Element, ...]:
-    """The elements whose singleton is maximal sum-free in g (each has prime order)."""
-    witnesses = tuple(g.element_at(s.members()[0]) for s in _maximal_of_size(g, 1))
+def _singleton_witnesses(g: GroupSpec) -> tuple[int, ...]:
+    """The elements (indices) whose singleton is maximal sum-free in g (each
+    has prime order)."""
+    witnesses = tuple(s.members()[0] for s in _maximal_of_size(g, 1))
     for w in witnesses:
         if not is_prime(g.element_order(w)):
-            raise AssertionError(f"witness {w.index} in {g.moduli} has composite order")
+            raise AssertionError(f"witness {w} in {g.moduli} has composite order")
     return witnesses
 
 
-def singleton_maximal_groups(
-    max_order: int,
-) -> list[tuple[GroupSpec, tuple[Element, ...]]]:
+def singleton_maximal_groups(max_order: int) -> list[tuple[GroupSpec, tuple[int, ...]]]:
     """Abelian groups of order 2..max_order holding a maximal sum-free
     singleton, with their witnesses (each witness has prime order)."""
     return [(g, witnesses) for order in range(2, max_order + 1)

@@ -246,7 +246,7 @@ def _lev_row(g: GroupSpec) -> dict:
 def _giudici1_row(g: GroupSpec) -> dict:
     from .analysis import _singleton_witnesses
 
-    return {"witnesses": ";".join(str(w.index) for w in _singleton_witnesses(g))}
+    return {"witnesses": ";".join(map(str, _singleton_witnesses(g)))}
 
 
 def _giudici2_row(g: GroupSpec) -> dict:
@@ -257,7 +257,8 @@ def _giudici2_row(g: GroupSpec) -> dict:
 
 
 # check -> (its columns, its largest ground size, its row as a function of one
-# group); the scans walk to depth 1 or 2, so make_group bounds them
+# group); the scans walk to depth 1 or 2, so their cap is the order cap, which
+# group_sweep_rows checks like the others
 GROUP_CHECKS: dict[str, tuple[list[str], int, Callable[[GroupSpec], dict]]] = {
     "mu": (["mu", "mu_float", "v", "v_case", "agree"], MAXIMUM_CAP, _mu_row),
     "index2": (["subgroups", "expected", "coset_equality"], MAXIMUM_CAP, _index2_row),

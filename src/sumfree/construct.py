@@ -5,7 +5,7 @@ floating point: boundary elements change sum-freeness.
 """
 
 from .arith import is_prime
-from .groups import Element, Subgroup, make_group
+from .groups import Subgroup, make_group
 from .universe import ElemSet, GroupUniverse, IntervalUniverse, is_sum_free
 
 
@@ -39,9 +39,7 @@ def middle_third(n: int) -> ElemSet:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     u = GroupUniverse(make_group([n]))
-    return ElemSet.from_values(
-        u, (x for x in range(1, n) if 3 * x > n and 3 * x <= 2 * n)
-    )
+    return ElemSet.from_values(u, range(n // 3 + 1, 2 * n // 3 + 1))
 
 
 def outer_bands(n: int) -> ElemSet:
@@ -56,24 +54,20 @@ def outer_bands(n: int) -> ElemSet:
         raise ValueError(f"need n >= 2, got {n}")
     u = GroupUniverse(make_group([n]))
     return ElemSet.from_values(
-        u,
-        (
-            x
-            for x in range(1, n)
-            if (6 * x > n and 3 * x <= n) or 3 * x > 2 * n
-        ),
+        u, [*range(n // 6 + 1, n // 3 + 1), *range(2 * n // 3 + 1, n)]
     )
 
 
-def coset(h: Subgroup, g: Element) -> ElemSet:
-    """The coset h + g for g outside h; always sum-free, cardinality |h|."""
+def coset(h: Subgroup, g: int) -> ElemSet:
+    """The coset h + g for g (an index) outside h; always sum-free,
+    cardinality |h|."""
     parent = h.parent
-    if len(h.members) == parent.order:
+    if h.order == parent.order:
         raise ValueError("subgroup is the whole group, no nontrivial coset exists")
-    if g.index in h.members:
-        raise ValueError(f"element {g.index} lies in the subgroup, coset would be trivial")
     u = GroupUniverse(parent)
-    return ElemSet.from_values(u, (parent.add_index(x, g.index) for x in h.members))
+    if h.mask >> u.slot_of(g) & 1:
+        raise ValueError(f"element {g} lies in the subgroup, coset would be trivial")
+    return ElemSet(u, parent.translate(h.mask, g))
 
 
 def periodic_residues(m: int, n: int, window_hi: int) -> ElemSet:

@@ -7,8 +7,9 @@ a walk extends its set only by elements that keep it sum-free.
 
 The walk maintains a "forbidden" bit mask per node, and the universe
 gives its step (forbid, with excluded for the maximum search's bound;
-see universe.py): the walkers here hold no mask arithmetic of their own
-and are handed the ground they walk in.  For intervals, elements are
+see universe.py): the walkers here hold no mask arithmetic of their own,
+save the two interval walks (_interval_walk and _interval_maximal), and
+are handed the ground they walk in.  For intervals, elements are
 taken in ascending order, so the only way a later candidate can break
 sum-freeness is by being a sum of two chosen elements; the mask is just
 the running sumset.  For groups, wraparound means a candidate can also
@@ -139,6 +140,7 @@ def _interval_walk(u: IntervalUniverse, shard_index: int, shard_count: int,
         layer = {s | f & -(1 << first): n}
         for t in range(first, size):
             v, bit, new, joined = t + lo, 1 << t, {}, 0
+            shift = min(v, size)  # a shift past the window lands nothing in it
             # the next key: members x with x + v < hi, forbidden slots above t
             mask = (1 << max(0, min(t + 1, hi - 2 * lo - t))) - 1 | window & -(bit << 1)
             low, out = bit - 1, mask & ~bit
@@ -148,7 +150,7 @@ def _interval_walk(u: IntervalUniverse, shard_index: int, shard_count: int,
                 new[k] = new.get(k, 0) + n
                 if not key & bit:
                     n <<= width
-                    k = (key | bit | ((key & low | bit) << v) & window) & mask
+                    k = (key | bit | ((key & low | bit) << shift) & window) & mask
                     new[k] = new.get(k, 0) + n
                     joined += n
             by_top[t + 1] += joined
@@ -168,6 +170,9 @@ def _interval_maximal(u: IntervalUniverse, found: Optional[list[int]]) -> int:
     maximal when nothing is pending.
     """
     lo, hi, window = u.lo, u.hi, u.ground_mask
+    # masks move by slot + near, not by the value slot + lo: the same while lo
+    # is at most the ground size, and past it neither lands in the window
+    near = min(lo, u.ground_size)
     count = 0
 
     def rec(s: int, m: int, r: int, avail: int, pending: int) -> None:
@@ -176,16 +181,17 @@ def _interval_maximal(u: IntervalUniverse, found: Optional[list[int]]) -> int:
         while p:
             b = p & -p
             p ^= b
-            v = b.bit_length() - 1 + lo
-            if not avail & pot << v and not avail >> (2 * v - lo) & 1:
+            slot = b.bit_length() - 1
+            if not avail & pot << slot + near and not avail >> (2 * slot + lo) & 1:
                 return
         skipped = 0
         while avail:
             b = avail & -avail
             avail ^= b
-            v = b.bit_length() - 1 + lo
+            slot = b.bit_length() - 1
+            v, shift = slot + lo, slot + near
             s2 = s | b
-            m2 = m | (s2 << v) & window
+            m2 = m | (s2 << shift) & window
             p = (pending | skipped) & ~(r >> (hi + lo - v))
             if not v & 1 and v >= 2 * lo:
                 p &= ~(1 << (v // 2 - lo))
@@ -196,7 +202,7 @@ def _interval_maximal(u: IntervalUniverse, found: Optional[list[int]]) -> int:
                 if found is not None:
                     found.append(s2)
             # the later children leave v out: stop once no later member can cover it
-            if not avail & (s | avail) << v and not avail >> (2 * v - lo) & 1:
+            if not avail & (s | avail) << shift and not avail >> (2 * v - lo) & 1:
                 break
             skipped |= b
 

@@ -1,10 +1,11 @@
 """Finite abelian groups presented as direct sums of cyclic groups.
 
 A group is an ordered tuple of cyclic moduli (empty tuple = trivial group).
-Elements carry both a coordinate tuple and a canonical mixed-radix index in
-[0, order), with the first modulus least significant.  Every bit array and
-serialized set in this package addresses group elements by that index, so
-enumeration order, sharding and golden files are deterministic.
+An element is its canonical mixed-radix index in [0, order), the first
+modulus least significant, and a set of elements (a subgroup too) is the
+mask of its indices.  Every bit array and serialized set in this package
+addresses group elements by that index, so enumeration order, sharding
+and golden files are deterministic.
 """
 
 import math
@@ -15,14 +16,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 from ._record import Record
 from .arith import partitions, prime_factors
 from .errors import DEFAULT_MAX_ORDER, CapacityError
-from .universe import _mask_of, _positions, _rotate
-
-
-class Element(Record):
-    """A group element: residue coordinates plus the canonical index."""
-
-    coords: tuple[int, ...]
-    index: int
+from .universe import _positions, _rotate
 
 
 class GroupSpec(Record):
@@ -58,19 +52,22 @@ class GroupSpec(Record):
 
     # element plumbing ----------------------------------------------------
 
-    def element(self, coords: Iterable[int]) -> Element:
+    def element(self, coords: Iterable[int]) -> int:
+        """The index of the element with the given coordinates."""
         c = tuple(coords)
         if len(c) != len(self.moduli):
             raise ValueError(f"expected {len(self.moduli)} coordinates, got {len(c)}")
         for x, m in zip(c, self.moduli):
             if not 0 <= x < m:
                 raise ValueError(f"invalid element: coordinate {x} not in [0, {m})")
-        return Element(c, self.coords_to_index(c))
+        return self.coords_to_index(c)
 
-    def element_at(self, index: int) -> Element:
+    def _checked(self, index: int) -> int:
+        """The index, refused (ValueError) unless it names an element: out of
+        range, index_to_coords would read it as another element."""
         if not 0 <= index < self.order:
             raise ValueError(f"invalid element index {index} for order {self.order}")
-        return Element(self.index_to_coords(index), index)
+        return index
 
     def coords_to_index(self, coords: Sequence[int]) -> int:
         return sum(x * r for x, r in zip(coords, self._radices))
@@ -81,15 +78,6 @@ class GroupSpec(Record):
             index, x = divmod(index, m)
             out.append(x)
         return tuple(out)
-
-    def identity(self) -> Element:
-        return Element((0,) * len(self.moduli), 0)
-
-    def add(self, a: Element, b: Element) -> Element:
-        return self.element_at(self.add_index(a.index, b.index))
-
-    def neg(self, a: Element) -> Element:
-        return self.element_at(self.neg_index(a.index))
 
     def add_index(self, i: int, j: int) -> int:
         out = 0
@@ -207,10 +195,10 @@ class GroupSpec(Record):
 
     # derived structure ----------------------------------------------------
 
-    def element_order(self, a: Element) -> int:
-        """Least k >= 1 with k*a = identity; divides the group order."""
-        return math.lcm(*(m // math.gcd(x, m) for x, m in zip(a.coords, self.moduli))) \
-            if self.moduli else 1
+    def element_order(self, a: int) -> int:
+        """Least k >= 1 with k*a = 0 (a an index); divides the group order."""
+        coords = self.index_to_coords(self._checked(a))  # () in the trivial group: lcm() = 1
+        return math.lcm(*(m // math.gcd(x, m) for x, m in zip(coords, self.moduli)))
 
     def exponent(self) -> int:
         """Largest order of any element (the lcm of the moduli)."""
@@ -270,46 +258,51 @@ def group_from_json(data: dict) -> GroupSpec:
 
 
 class Subgroup(Record):
-    """A verified subgroup, stored as the frozenset of member indices.
+    """A verified subgroup, stored as the index mask of its members.
 
-    The identity is always a member, which is why members are raw indices
-    rather than an ElemSet (group universes drop the identity from their
-    ground set).  Construction checks that the members are indices of the
-    parent, closure and the Lagrange condition.
+    The identity is always a member, which is why the mask is not an
+    ElemSet (group universes drop the identity from their ground set).
+    Construction checks that the members are indices of the parent,
+    closure and the Lagrange condition.
     """
 
     parent: GroupSpec
-    members: frozenset[int]
+    mask: int
 
     def __post_init__(self):
-        g = self.parent
-        if 0 not in self.members:
+        g, mask = self.parent, self.mask
+        if not mask & 1:
             raise ValueError("subgroup must contain the identity")
-        if min(self.members) < 0 or max(self.members) >= g.order:
+        if mask < 0 or mask >> g.order:
             raise ValueError(f"subgroup members must be element indices in [0, {g.order})")
-        if g.order % len(self.members) != 0:
+        if g.order % self.order != 0:
             raise ValueError("subgroup size does not divide the group order")
-        mem, neg, mask = self.members, g.negation, _mask_of(self.members, g.order)
-        for i in mem:
-            if neg[i] not in mem:
+        neg = g.negation
+        for i in _positions(mask):
+            if not mask >> neg[i] & 1:
                 raise ValueError("subgroup not closed under negation")
             if g.translate(mask, i) != mask:
                 raise ValueError("subgroup not closed under addition")
 
     @property
     def order(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
+
+    def members(self) -> tuple[int, ...]:
+        """Member indices, ascending."""
+        return tuple(_positions(self.mask))
 
 
-def generated_subgroup(g: GroupSpec, gens: Sequence[Element]) -> Subgroup:
-    """Closure of the generators under addition (hence negation, the group
-    being finite), including the identity."""
+def generated_subgroup(g: GroupSpec, gens: Sequence[int]) -> Subgroup:
+    """Closure of the generators (indices) under addition (hence negation,
+    the group being finite), including the identity."""
+    gens = [g._checked(x) for x in gens]
     mask, grown = 0, 1
     while grown != mask:
         mask = grown
-        for e in gens:
-            grown |= g.translate(mask, e.index)
-    return Subgroup(g, frozenset(_positions(mask)))
+        for x in gens:
+            grown |= g.translate(mask, x)
+    return Subgroup(g, mask)
 
 
 def index2_subgroups(g: GroupSpec) -> list[Subgroup]:
@@ -325,7 +318,7 @@ def index2_subgroups(g: GroupSpec) -> list[Subgroup]:
         if m % 2 == 0:
             mask = full // ((1 << 2 * r) - 1) * (((1 << r) - 1) << r)
             odd += [x ^ mask for x in odd]
-    return [Subgroup(g, frozenset(_positions(full ^ x))) for x in odd[1:]]
+    return [Subgroup(g, full ^ x) for x in odd[1:]]
 
 
 def abelian_groups_of_order(n: int) -> list[GroupSpec]:

@@ -122,8 +122,11 @@ class IntervalUniverse(Record):
         return (1 << self.ground_size) - 1
 
     def plus(self, mask: int, x: int) -> int:
-        """Slot mask of (X + x) inside the interval, X given by its slot mask."""
-        return (mask << x) & self.ground_mask
+        """Slot mask of (X + x) inside the interval, X given by its slot mask.
+
+        The members that land inside are picked before the shift, so a
+        window far from 1 builds no x-bit int on the way."""
+        return (mask & self.ground_mask >> x) << x
 
     def minus(self, mask: int, x: int) -> int:
         """Slot mask of (X - x) inside the interval."""

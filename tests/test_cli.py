@@ -285,7 +285,7 @@ def test_sweep_groups_giudici_cells_match_the_scans(capsys):
     from sumfree.analysis import pair_maximal_groups, singleton_maximal_groups
     from sumfree.cli import _moduli_label
 
-    witnesses = {_moduli_label(g.moduli): ";".join(str(w.index) for w in wits)
+    witnesses = {_moduli_label(g.moduli): ";".join(map(str, wits))
                  for g, wits in singleton_maximal_groups(24)}
     pairs: dict[str, list[str]] = {}
     for g, s in pair_maximal_groups(24):

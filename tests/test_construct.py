@@ -50,6 +50,9 @@ def test_middle_third_examples():
     for n in range(2, 201):
         s = middle_third(n)
         assert is_sum_free(s)
+    for n in range(2, 300):  # the bounds as the defining inequalities
+        assert middle_third(n).members() == tuple(
+            x for x in range(1, n) if 3 * x > n and 3 * x <= 2 * n), n
 
 
 def test_outer_bands_examples():
@@ -60,39 +63,59 @@ def test_outer_bands_examples():
     assert s12.members() == (3, 4, 9, 10, 11)
     # the literal set is not sum-free here: 10 + 11 = 9 (mod 12)
     assert not is_sum_free(s12)
+    for n in range(2, 300):  # the bounds as the defining inequalities
+        assert outer_bands(n).members() == tuple(
+            x for x in range(1, n) if (6 * x > n and 3 * x <= n) or 3 * x > 2 * n), n
 
 
 def test_coset_examples():
     z6 = make_group([6])
-    h = generated_subgroup(z6, [z6.element_at(2)])
-    c = coset(h, z6.element_at(1))
+    h = generated_subgroup(z6, [2])
+    c = coset(h, 1)
     assert c.members() == (1, 3, 5)
     z4 = make_group([4])
-    h4 = generated_subgroup(z4, [z4.element_at(2)])
-    assert coset(h4, z4.element_at(1)).members() == (1, 3)
+    h4 = generated_subgroup(z4, [2])
+    assert coset(h4, 1).members() == (1, 3)
 
 
 def test_coset_errors_and_properties():
     z6 = make_group([6])
-    h = generated_subgroup(z6, [z6.element_at(2)])
+    h = generated_subgroup(z6, [2])
     with pytest.raises(ValueError):
-        coset(h, z6.element_at(4))  # member of h
-    whole = generated_subgroup(z6, [z6.element_at(1)])
+        coset(h, 4)  # member of h
+    with pytest.raises(ValueError, match="6 is not an element index"):
+        coset(h, 6)  # would alias the identity, a member of h
+    whole = generated_subgroup(z6, [1])
     with pytest.raises(ValueError):
-        coset(whole, z6.element_at(3))
+        coset(whole, 3)
     rng = random.Random(5)
     for order in range(2, 33):
         for g in abelian_groups_of_order(order):
-            gen = g.element_at(rng.randrange(1, order))
+            gen = rng.randrange(1, order)
             h = generated_subgroup(g, [gen])
-            if len(h.members) == order:
+            if h.order == order:
                 continue
-            outside = [i for i in range(order) if i not in h.members]
-            pick = g.element_at(rng.choice(outside))
+            outside = [i for i in range(order) if i not in h.members()]
+            pick = rng.choice(outside)
             c = coset(h, pick)
-            assert c.cardinality == len(h.members)
-            assert not (set(c.members()) & h.members)
+            assert c.cardinality == h.order
+            assert not (set(c.members()) & set(h.members()))
             assert is_sum_free(c)
+
+
+def test_coset_is_one_translation_of_the_subgroup_mask():
+    for order in range(2, 17):
+        for g in abelian_groups_of_order(order):
+            for x in range(order):
+                h = generated_subgroup(g, [x])
+                if h.order == order:
+                    continue
+                for y in range(order):
+                    if y in h.members():
+                        continue
+                    c = coset(h, y)
+                    assert c.mask == g.translate(h.mask, y)
+                    assert set(c.members()) == {g.add_index(a, y) for a in h.members()}
 
 
 def test_periodic_residues_examples():

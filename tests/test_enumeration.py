@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -173,7 +174,7 @@ def test_enumerate_maximum_order_64_is_the_index2_cosets():
     # over a minute
     for g in abelian_groups_of_order(64):
         got = [frozenset(s.members()) for s in enumerate_maximum(GroupUniverse(g))]
-        cosets = {frozenset(range(64)) - h.members for h in index2_subgroups(g)}
+        cosets = {frozenset(range(64)) - set(h.members()) for h in index2_subgroups(g)}
         assert len(got) == len(cosets) and set(got) == cosets, g.moduli
     with pytest.raises(CapacityError):
         enumerate_maximum(GroupUniverse(make_group([5, 13])))
@@ -189,7 +190,8 @@ def test_maximum_witness_is_the_first_maximum_set():
             maxima = enumerate_maximum(u)
             assert _maximum(u, 1) == maxima[:1], g.moduli
             if order % 2 == 0:
-                cosets = {frozenset(range(order)) - h.members for h in index2_subgroups(g)}
+                cosets = {frozenset(range(order)) - set(h.members())
+                          for h in index2_subgroups(g)}
                 assert {frozenset(s.members()) for s in maxima} == cosets, g.moduli
     for n in range(1, 21):
         u = IntervalUniverse(1, n)
@@ -623,6 +625,31 @@ def test_wide_windows_match_closed_forms():
         for k in (2, 8, 64):
             total = sum(count_sum_free_sharded(u, i, k) for i in range(k))
             assert total == rec.f, (lo, hi, k)
+
+
+def test_windows_far_from_one_build_window_wide_masks():
+    # every sum of two members of [lo, lo + 3] lies above the window, so all
+    # 16 subsets are sum-free and the whole window is the one maximal (and
+    # maximum) set; shifted by the value, each mask would be lo bits wide
+    lo = 10 ** 8
+    u = IntervalUniverse(lo, lo + 3)
+    window = tuple(range(lo, lo + 4))
+    calls = (
+        (lambda: count_sum_free(u), 16),
+        (lambda: count_maximal(u), 1),
+        (lambda: [s.members() for s in enumerate_maximum(u)], [window]),
+        (lambda: [s.members() for s in enumerate_maximal(u)], [window]),
+        (lambda: is_maximal_sum_free(ElemSet(u, 0b1)), False),
+    )
+    for call, expected in calls:
+        tracemalloc.start()
+        try:
+            got = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert peak < 1 << 20, (expected, peak)
 
 
 def test_orbit_counts_match_plain_shards():

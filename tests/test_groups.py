@@ -42,15 +42,14 @@ def test_make_group_rejects_non_integer_moduli():
 
 def test_add_neg_identity_examples():
     z5 = make_group([5])
-    assert z5.add(z5.element([3]), z5.element([4])).index == 2
+    assert z5.add_index(z5.element([3]), z5.element([4])) == 2
     z23 = make_group([2, 3])
-    s = z23.add(z23.element([1, 2]), z23.element([1, 2]))
-    assert s.coords == (0, 1)
+    s = z23.add_index(z23.element([1, 2]), z23.element([1, 2]))
+    assert z23.index_to_coords(s) == (0, 1)
     for g in (z5, z23):
-        for i in range(g.order):
-            a = g.element_at(i)
-            assert g.add(a, g.identity()) == a
-            assert g.add(a, g.neg(a)) == g.identity()
+        for a in range(g.order):
+            assert g.add_index(a, 0) == a
+            assert g.add_index(a, g.neg_index(a)) == 0
 
 
 def test_element_validation():
@@ -59,8 +58,16 @@ def test_element_validation():
         z6.element([6])
     with pytest.raises(ValueError):
         z6.element([1, 1])
-    with pytest.raises(ValueError):
-        z6.element_at(6)
+
+
+def test_index_arguments_are_range_checked():
+    # out of range, index_to_coords would alias another element: 6 reads as 0
+    z6 = make_group([6])
+    for bad in (6, -1):
+        with pytest.raises(ValueError, match=rf"invalid element index {bad} for order 6"):
+            z6.element_order(bad)
+        with pytest.raises(ValueError, match=rf"invalid element index {bad} for order 6"):
+            generated_subgroup(z6, [2, bad])
 
 
 def test_index_coords_bijection():
@@ -91,20 +98,19 @@ def test_group_laws_random_triples():
 def test_order_times_element_is_identity():
     for order in range(2, 33):
         for g in abelian_groups_of_order(order):
-            for i in range(order):
-                a = g.element_at(i)
+            for a in range(order):
                 k = g.element_order(a)
                 assert order % k == 0
-                acc = g.identity()
+                acc = 0
                 for _ in range(k):
-                    acc = g.add(acc, a)
-                assert acc == g.identity()
+                    acc = g.add_index(acc, a)
+                assert acc == 0
 
 
 def test_element_order_examples():
     z6 = make_group([6])
-    assert z6.element_order(z6.element_at(2)) == 3
-    assert z6.element_order(z6.element_at(0)) == 1
+    assert z6.element_order(2) == 3
+    assert z6.element_order(0) == 1
     z23 = make_group([2, 3])
     assert z23.element_order(z23.element([1, 1])) == 6
 
@@ -115,7 +121,7 @@ def test_exponent_examples_and_bruteforce():
     assert make_group([49]).exponent() == 49
     for order in range(2, 65):
         for g in abelian_groups_of_order(order):
-            brute = max(g.element_order(g.element_at(i)) for i in range(order))
+            brute = max(g.element_order(i) for i in range(order))
             assert g.exponent() == brute
 
 
@@ -131,7 +137,7 @@ def test_index2_examples():
     assert all(s.order == 2 for s in subs)
     assert index2_subgroups(make_group([9])) == []
     (only,) = index2_subgroups(make_group([4]))
-    assert only.members == frozenset({0, 2})
+    assert only.mask == 0b101 and only.members() == (0, 2)
 
 
 def test_index2_count_matches_even_components():
@@ -148,7 +154,7 @@ def test_index2_parity_masks_match_coordinate_oracle():
     # element's coordinates
     wide = [GroupSpec((2, 256)), GroupSpec((4, 2, 32)), GroupSpec((2,) * 8)]  # past one word
     for g in [g for order in range(1, 65) for g in abelian_groups_of_order(order)] + wide:
-        got = [s.members for s in index2_subgroups(g)]
+        got = [frozenset(s.members()) for s in index2_subgroups(g)]
         assert got == index2_kernel_oracle(g.moduli), g.moduli
 
 
@@ -187,31 +193,31 @@ def test_index2_against_lattice_oracle(order):
     for g in abelian_groups_of_order(order):
         lattice = _all_subgroups(g)
         expected = {h for h in lattice if len(h) * 2 == g.order}
-        got = {s.members for s in index2_subgroups(g)}
+        got = {frozenset(s.members()) for s in index2_subgroups(g)}
         assert got == expected
 
 
 def test_generated_subgroup_examples():
     z6 = make_group([6])
-    assert generated_subgroup(z6, [z6.element_at(2)]).members == frozenset({0, 2, 4})
-    assert generated_subgroup(z6, []).members == frozenset({0})
+    assert generated_subgroup(z6, [2]).members() == (0, 2, 4)
+    assert generated_subgroup(z6, []).members() == (0,)
     v4 = make_group([2, 2])
     whole = generated_subgroup(v4, [v4.element([1, 0]), v4.element([0, 1])])
-    assert whole.members == frozenset(range(4))
+    assert whole.members() == (0, 1, 2, 3) and whole.order == 4
 
 
 def test_subgroup_validation():
     z6 = make_group([6])
     with pytest.raises(ValueError):
-        Subgroup(z6, frozenset({1, 2}))  # no identity
+        Subgroup(z6, 0b110)  # no identity
     with pytest.raises(ValueError, match="negation"):
-        Subgroup(z6, frozenset({0, 1}))  # not closed
+        Subgroup(z6, 0b11)  # not closed
     with pytest.raises(ValueError, match="addition"):
-        Subgroup(z6, frozenset({0, 1, 5}))
-    for outside in ({0, 6}, {0, 3, -3}):  # no indices of z6
+        Subgroup(z6, 0b100011)
+    for outside in (1 | 1 << 6, -1):  # no index masks of z6
         with pytest.raises(ValueError, match=r"element indices in \[0, 6\)"):
-            Subgroup(z6, frozenset(outside))
-    Subgroup(z6, frozenset({0, 3}))  # fine
+            Subgroup(z6, outside)
+    Subgroup(z6, 0b1001)  # fine
 
 
 def test_abelian_groups_of_order_examples():
@@ -275,7 +281,7 @@ def test_orbits_partition_the_nonzero_elements():
             for orbit in orbits:
                 for t in g.automorphisms:
                     assert {t[x] for x in orbit} == set(orbit)
-                assert len({g.element_order(g.element_at(x)) for x in orbit}) == 1
+                assert len({g.element_order(x) for x in orbit}) == 1
     # the generators reach the full automorphism orbits of these groups;
     # 2 generates the units modulo 37, so one dilation table suffices
     assert len(make_group([37]).automorphisms) == 1

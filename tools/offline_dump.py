@@ -2,6 +2,10 @@
 
     python3 tools/offline_dump.py > dump.txt
 
+The sizes are the caps of the library, so each listing reaches as far
+as its call allows: 64 is MAXIMUM_CAP + 1, 41 is DEFAULT_GROUND_CAP + 1
+(a count's ground cap 40, plus the identity), 18 is TWO_WISE_CAP.
+
 For every abelian group of order 2-64 (in the order of
 abelian_groups_of_order), one line: the moduli, then, up to order 41, the
 count, the maximal count and the cardinality histogram (one fused
@@ -15,13 +19,14 @@ maximum sets (values), then, for hi <= 24, the maximal sets
 (enumerate_maximal, sorted).  Then one line per [1, n], n <= 18, with
 the two-wise count (count_two_wise).  Last, one more line per abelian
 group of order 2-64: the moduli, the witness of density_report, the
-index-2 subgroups (index2_subgroups, members sorted) and the maximal
+index-2 subgroups (index2_subgroups, members ascending) and the maximal
 sets of cardinality 2 (maximal_sets_of_size).  Only the standard library
 is used.
 
 To compare two commits, extract each with `git archive REV | tar -x -C DIR`,
 run `python3 DIR/tools/offline_dump.py > REV.txt` on each and diff the
-files.  A commit older than this script gets a copy of it in its tools/.
+files.  Each copy reads the API of its own commit, so a commit without
+this script gets the copy of the oldest commit that has it.
 """
 
 import json
@@ -33,6 +38,7 @@ from typing import Iterator
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sumfree.enumeration import (  # noqa: E402
+    TWO_WISE_CAP,
     build_count_record,
     count_by_largest,
     count_two_wise,
@@ -41,6 +47,7 @@ from sumfree.enumeration import (  # noqa: E402
     maximal_sets_of_size,
 )
 from sumfree.analysis import density_report  # noqa: E402
+from sumfree.errors import DEFAULT_GROUND_CAP, MAXIMUM_CAP  # noqa: E402
 from sumfree.groups import abelian_groups_of_order, index2_subgroups  # noqa: E402
 from sumfree.universe import ElemSet, GroupUniverse, IntervalUniverse, Universe  # noqa: E402
 
@@ -67,9 +74,10 @@ def _maximal(u: Universe) -> str:
     return _sets("maximal", sorted(enumerate_maximal(u), key=ElemSet.members))
 
 
-def dump_lines(count_order: int = 41, maximum_order: int = 64,
-               window_hi: int = 24, prefix_hi: int = 40,
-               two_wise_hi: int = 18, structure_order: int = 64) -> Iterator[str]:
+def dump_lines(count_order: int = DEFAULT_GROUND_CAP + 1,
+               maximum_order: int = MAXIMUM_CAP + 1, window_hi: int = 24,
+               prefix_hi: int = DEFAULT_GROUND_CAP, two_wise_hi: int = TWO_WISE_CAP,
+               structure_order: int = MAXIMUM_CAP + 1) -> Iterator[str]:
     """The dump's lines: group counts up to count_order, group maximum sets up
     to maximum_order, then the windows [lo, hi], hi <= window_hi, and [1, n],
     window_hi < n <= prefix_hi; the maximal sets are listed for the groups
@@ -100,7 +108,7 @@ def dump_lines(count_order: int = 41, maximum_order: int = 64,
     for n in range(2, structure_order + 1):
         for g in abelian_groups_of_order(n):
             witness = density_report(g).witness.to_json_list()
-            index2 = [sorted(h.members) for h in index2_subgroups(g)]
+            index2 = [list(h.members()) for h in index2_subgroups(g)]
             yield " ".join(["x".join(map(str, g.moduli)), f"witness={_json(witness)}",
                             f"index2={_json(index2)}",
                             _sets("pairs", maximal_sets_of_size(GroupUniverse(g), 2))])
