@@ -8,8 +8,7 @@ a walk extends its set only by elements that keep it sum-free.
 The walk maintains a "forbidden" bit mask per node, and the universe
 gives its step (forbid, with excluded for the maximum search's bound;
 see universe.py): the walkers here hold no mask arithmetic of their own,
-save the two interval walks (_interval_walk and _interval_maximal), and
-are handed the ground they walk in.  For intervals, elements are
+and are handed the ground they walk in.  For intervals, elements are
 taken in ascending order, so the only way a later candidate can break
 sum-freeness is by being a sum of two chosen elements; the mask is just
 the running sumset.  For groups, wraparound means a candidate can also
@@ -18,29 +17,18 @@ sumset, the difference set and the half-set together, which also makes
 the maximality test a single mask comparison.  Adding an element costs
 two translations of index masks (GroupSpec.translation_steps).
 
-Interval counts do not visit every set.  Sets that hold the same members
-x with x + v <= hi and forbid the same slots from v on have the same
-extensions above slot v, so the count is a forward transfer: each layer
-maps that state to its number of sets, carried to the last slot.  It runs
-from each of at least 8 shard roots, keeping the layers small.  Counting
-a set as x^|s|, x a large power of two, packs the histogram into the
-same transfer.  The maximal count walks only the sets that can still
-become maximal.  Group counts (with the maximal count and the histogram)
-use the symmetry instead, by one rooting step taken two levels deep.  The
-automorphisms that fix the members of a rooted set s split its
-candidates into orbits (GroupSpec.fixing_orbits).  The sets above s that
-meet such an orbit Q but no earlier one are found from s and one element
-of Q, a set with m members in Q standing for |Q| / m sets, and one walk
-from s takes the sets that meet only orbits of one element; these walks
-tally each set in a cell without a visit.  The listings and the group
-shards walk from the empty set on the same walker, _walk:
-enumerate_sum_free, the shards, and a group's maximal sets
-(enumerate_maximal, and maximal_sets_of_size, whose visit cuts the walk
-at a depth or with too much left to cover).  An interval's maximal
-sets come from the maximal count's walk.  enumerate_maximum (pruned by a
-translation-matching bound) keeps its own loop, which skips a hopeless
-child before computing its mask; with ties pruned, it gives the density
-checks one witness.  No walk builds a mask for a leaf unless it needs one.
+The counts and the maximal listings walk by universe, each in its own
+module, which a function imports where it dispatches, so that a run
+compiles only the walkers of the universe it counts:
+_interval_walkers.py holds the interval transfer and the interval
+maximal walk, _group_walkers.py the orbit-rooted group counts and a
+group's maximal sets.  The listings and the group shards walk from the
+empty set on the one walker here, _walk: enumerate_sum_free, the shards,
+and (from _group_walkers.py) a group's maximal sets and the orbit
+tally's walks.  enumerate_maximum (pruned by a translation-matching
+bound) keeps its own loop, which skips a hopeless child before computing
+its mask; with ties pruned, it gives the density checks one witness.  No
+walk builds a mask for a leaf unless it needs one.
 
 Sharded counting fixes the first log2(shard_count) include/exclude
 decisions from the bits of the shard index (bit j governs ground element
@@ -58,7 +46,6 @@ from .universe import (
     IntervalUniverse,
     Universe,
     _mask_of,
-    _positions,
     is_sum_free,
 )
 from .errors import DEFAULT_GROUND_CAP, MAXIMUM_CAP, CapacityError
@@ -66,7 +53,6 @@ from .errors import DEFAULT_GROUND_CAP, MAXIMUM_CAP, CapacityError
 NAIVE_CAP = 25
 TWO_WISE_CAP = 18
 SHARD_CAP = 4096  # each shard costs a root and a result row, walked or not
-ORBIT_DEPTH = 2  # rooting steps in a group count
 
 
 def _require_ground(u: Universe, cap: int) -> None:
@@ -114,182 +100,37 @@ def _walk(forbid: Callable[[int, int, int], int],
     return total
 
 
-def _interval_walk(u: IntervalUniverse, shard_index: int, shard_count: int,
-                   width: int = 0) -> list[int]:
-    """One shard's sum-free sets of an interval, entry i: largest slot i - 1.
-
-    The shard joins the sub-shards shard_index (mod shard_count) of
-    max(shard_count, 8), each carried on from its root.  Before slot t a
-    layer maps keys to set counts; a key holds the forbidden slots from bit
-    t and, below it, the members x with x + t + lo <= hi (at a root, all).
-    Each count is the sum of x^|s| over its sets at x = 2^width: with
-    width 0 the number of sets, with a wide enough width their packed
-    cardinality histogram.  A join multiplies by x and files the joined
-    sets under slot t; every key is carried to the last slot.
-    """
-    lo, hi, window, size = u.lo, u.hi, u.ground_mask, u.ground_size
-    by_top = [0] * (size + 1)
-    roots = max(shard_count, 8)
-    for j in range(shard_index, roots, shard_count):
-        root = _shard_root(u, j, roots)
-        if root is None:
-            continue
-        s, f, first = root
-        n = 1 << width * s.bit_count()
-        by_top[s.bit_length()] += n
-        layer = {s | f & -(1 << first): n}
-        for t in range(first, size):
-            v, bit, new, joined = t + lo, 1 << t, {}, 0
-            shift = min(v, size)  # a shift past the window lands nothing in it
-            # the next key: members x with x + v < hi, forbidden slots above t
-            mask = (1 << max(0, min(t + 1, hi - 2 * lo - t))) - 1 | window & -(bit << 1)
-            low, out = bit - 1, mask & ~bit
-            while layer:
-                key, n = layer.popitem()
-                k = key & out
-                new[k] = new.get(k, 0) + n
-                if not key & bit:
-                    n <<= width
-                    k = (key | bit | ((key & low | bit) << shift) & window) & mask
-                    new[k] = new.get(k, 0) + n
-                    joined += n
-            by_top[t + 1] += joined
-            layer = new
-    return by_top
-
-
-def _interval_maximal(u: IntervalUniverse, found: Optional[list[int]]) -> int:
-    """Count the maximal sum-free sets of an interval, listing them into
-    found (if given), ascending lexicographic.
-
-    Members join in ascending order, so a candidate v left out stays
-    pending until a later member b has b - v in s, or b = 2v (r holds bit
-    hi - x per member x: shifted right by hi + lo - b, the slots of b - x).
-    A node is dropped when a pending v has no candidate b with b - v in s
-    or a candidate, nor 2v a candidate; with no candidates left, s is
-    maximal when nothing is pending.
-    """
-    lo, hi, window = u.lo, u.hi, u.ground_mask
-    # masks move by slot + near, not by the value slot + lo: the same while lo
-    # is at most the ground size, and past it neither lands in the window
-    near = min(lo, u.ground_size)
-    count = 0
-
-    def rec(s: int, m: int, r: int, avail: int, pending: int) -> None:
-        nonlocal count
-        pot, p = s | avail, pending
-        while p:
-            b = p & -p
-            p ^= b
-            slot = b.bit_length() - 1
-            if not avail & pot << slot + near and not avail >> (2 * slot + lo) & 1:
-                return
-        skipped = 0
-        while avail:
-            b = avail & -avail
-            avail ^= b
-            slot = b.bit_length() - 1
-            v, shift = slot + lo, slot + near
-            s2 = s | b
-            m2 = m | (s2 << shift) & window
-            p = (pending | skipped) & ~(r >> (hi + lo - v))
-            if not v & 1 and v >= 2 * lo:
-                p &= ~(1 << (v // 2 - lo))
-            if avail & ~m2:
-                rec(s2, m2, r | 1 << (hi - v), avail & ~m2, p)
-            elif not p:
-                count += 1
-                if found is not None:
-                    found.append(s2)
-            # the later children leave v out: stop once no later member can cover it
-            if not avail & (s | avail) << shift and not avail >> (2 * v - lo) & 1:
-                break
-            skipped |= b
-
-    rec(0, 0, 0, window, 0)
-    return count
-
-
 def _tally(u: Universe) -> tuple[int, int, dict[int, int]]:
     """(count, maximal count, {cardinality: count})."""
     _require_ground(u, DEFAULT_GROUND_CAP)
     if isinstance(u, IntervalUniverse):
+        from ._interval_walkers import _interval_maximal, _interval_walk
+
         # no cardinality count reaches 2^(ground + 1)
         width = u.ground_size + 2
         packed = sum(_interval_walk(u, 0, 1, width))
         hist = [packed >> width * k & (1 << width) - 1 for k in range(u.ground_size + 1)]
         f, f_max = sum(hist), _interval_maximal(u, None)
     else:
+        from ._group_walkers import _orbit_tally
+
         tally = _orbit_tally(u, True)
         hist = [tally[2 * k] + tally[2 * k + 1] for k in range(u.group.order)]
         f, f_max = sum(hist), sum(tally[1::2])
     return f, f_max, {m: c for m, c in enumerate(hist) if c}
 
 
-def _orbit_tally(u: GroupUniverse, maximal: bool) -> list[int]:
-    """The sum-free sets of a group, by cardinality k and maximality x
-    (entry 2k + x; x = 0 throughout unless maximal is set).
-
-    One rooting step, taken from the empty set and from each set it roots
-    until a set has ORBIT_DEPTH members.  At a rooted set s (its members
-    in the order rooted: the prefix) with ground left, the automorphisms
-    that fix each member of s map the sets above s in left onto
-    themselves, and they split the candidates of s into orbits Q
-    (GroupSpec.fixing_orbits, largest first).  The sets above s in left
-    that meet Q but no earlier Q form a family B that they map onto
-    itself, keeping k and x.  Of B, take the N(k, x, m) sets that hold q,
-    a fixed element of Q, and have m members in Q.  The automorphisms
-    move q onto every element of Q, so counting the pairs (y in t & Q, t)
-    both ways gives m * #{t in B: k, x, m} = |Q| * N(k, x, m).  So for
-    each Q of two or more candidates the step roots s | {q} in left,
-    adds |Q| * N / m (checked to be exact) and leaves Q out of left.  The
-    sets still to count meet only singletons, each of weight 1: one walk
-    from s over left counts them and s.  Each rooting adds a digit for m
-    to the cells: a member at y steps a set's cell by 1 in k and by 1 in
-    the m of each Q that holds y, and maximality by 1 in x, one stride.
-    """
-    group, forbid, ground = u.group, u.forbid, u.ground_mask
-
-    def root(prefix: tuple[int, ...], f: int, left: int, steps: list[int], stride: int,
-             tally: list[int]) -> None:
-        s = _mask_of(prefix, group.order)
-        if len(prefix) < ORBIT_DEPTH:
-            candidates = left & ~f
-            for block in group.fixing_orbits(prefix, _positions(candidates)):
-                if len(block) == 1:  # the larger ones come first
-                    break
-                q, size = block[0], len(block)
-                qmask, width = _mask_of(block, group.order), size + 1
-                counts = [0] * (len(tally) * width)  # [cell * width + m]
-                root(prefix + (q,), forbid(s, f, q) | 1 << q, left,
-                     [step * width + (qmask >> y & 1) for y, step in enumerate(steps)],
-                     stride * width, counts)
-                for i, n in enumerate(counts):
-                    if n:
-                        cell, m = divmod(i, width)
-                        share, rem = divmod(size * n, m)
-                        if rem:
-                            raise RuntimeError(
-                                f"{group.moduli}: {n} sum-free sets hold {prefix + (q,)} and "
-                                f"{m} of the {size} elements of its block: "
-                                f"{size} * {n} is not a multiple of {m}")
-                        tally[cell] += share
-                left &= ~qmask
-        _walk(forbid, None, left, s, f, 0, counts=tally, steps=steps,
-              cell=sum(steps[y] for y in prefix), stride=maximal and stride, whole=ground)
-
-    out = [0] * (2 * group.order)
-    root((), 0, ground, [2] * group.order, 1, out)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _interval_count(u: IntervalUniverse) -> int:
+    from ._interval_walkers import _interval_walk
+
     return sum(_interval_walk(u, 0, 1))
 
 
 @lru_cache(maxsize=None)
 def _group_count(u: GroupUniverse) -> int:
+    from ._group_walkers import _orbit_tally
+
     # keyed by the moduli; the caller's universe keeps the walk's tables for later walks
     return sum(_orbit_tally(u, False))
 
@@ -370,6 +211,8 @@ def count_sum_free_sharded(u: Universe, shard_index: int, shard_count: int) -> i
         raise ValueError(f"shard_index {shard_index} out of range for {shard_count}")
     _require_ground(u, DEFAULT_GROUND_CAP)
     if isinstance(u, IntervalUniverse):
+        from ._interval_walkers import _interval_walk
+
         return sum(_interval_walk(u, shard_index, shard_count))
     root = _shard_root(u, shard_index, shard_count)
     return 0 if root is None else _walk(u.forbid, None, u.ground_mask, *root)
@@ -387,6 +230,8 @@ def count_by_largest(u: IntervalUniverse) -> list[int]:
     if not isinstance(u, IntervalUniverse):
         raise TypeError(f"count_by_largest needs an interval universe, got {u.describe()}")
     _require_ground(u, DEFAULT_GROUND_CAP)
+    from ._interval_walkers import _interval_walk
+
     return _interval_walk(u, 0, 1)
 
 
@@ -445,45 +290,15 @@ def _maximum(u: Universe, slack: int) -> list[ElemSet]:
     return [ElemSet(u, mask) for mask in found]
 
 
-def _group_maximal(u: GroupUniverse, size: Optional[int] = None) -> list[ElemSet]:
-    """The maximal sum-free sets of a group, ascending lexicographic; only
-    those of the given cardinality if size is set.
-
-    A group walk's forbidden mask holds exactly the elements that cannot
-    join s, so s is maximal when ground & ~(s | forbidden) == 0.  With a
-    size the walk is cut at that depth, and where more than budget[k] =
-    sum_{j=k}^{size-1} (3j + 2) + |G[2]| * min(size - k, |2G| - 1) elements
-    are outside s (k members) and its mask: b joining j members covers b,
-    s' + b, s' - b and b - s' (s' in s | {b}, 0 twice) and the halves of
-    b, a coset of G[2] if b is in 2G and none otherwise, so at most
-    |2G| - 1 of the members to come have halves.  A ground past budget[0]
-    is refused before any mask table is built.
-    """
-    ground = u.ground_mask
-    found: list[int] = []
-    if size is not None:
-        halves = 1 << u.group.even_component_count()  # |G[2]|
-        doubles = u.group.order // halves  # |2G|
-        budget = [(size - k) * (4 + 3 * (size + k - 1)) // 2 + halves * min(size - k, doubles - 1)
-                  for k in range(size + 1)]
-        if ground.bit_count() > budget[0]:
-            return []
-
-    def visit(s: int, forbidden: int) -> bool:
-        free, k = ground & ~(s | forbidden), s.bit_count()
-        if not free and (size is None or k == size):
-            found.append(s)
-        return size is not None and (k == size or free.bit_count() > budget[k])
-
-    _walk(u.forbid, visit, ground, 0, 0, 0, True)
-    return [ElemSet(u, mask) for mask in found]
-
-
 def enumerate_maximal(u: Universe) -> list[ElemSet]:
     """All maximal sum-free sets (no one-element extension), ascending lexicographic."""
     _require_ground(u, DEFAULT_GROUND_CAP)
     if isinstance(u, GroupUniverse):
+        from ._group_walkers import _group_maximal
+
         return _group_maximal(u)
+    from ._interval_walkers import _interval_maximal
+
     found: list[int] = []
     _interval_maximal(u, found)
     return [ElemSet(u, mask) for mask in found]
@@ -501,6 +316,8 @@ def maximal_sets_of_size(u: GroupUniverse, size: int) -> list[ElemSet]:
         raise TypeError(f"maximal_sets_of_size needs a group universe, got {u.describe()}")
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
+    from ._group_walkers import _group_maximal
+
     return [] if size > u.group.order // 2 else _group_maximal(u, size)
 
 
@@ -530,6 +347,8 @@ def count_two_wise(n: int) -> int:
         raise ValueError(f"need n >= 1, got {n}")
     if n > TWO_WISE_CAP:
         raise CapacityError(f"two-wise counting capped at n <= {TWO_WISE_CAP}, got {n}")
+    from ._interval_walkers import _interval_maximal
+
     found: list[int] = []
     _interval_maximal(IntervalUniverse(1, n), found)
     size = max(1 << n >> 3, 1)  # bytes; masks past 2^n stay clear

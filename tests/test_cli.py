@@ -129,14 +129,17 @@ def test_count_rejects_empty_group_items(capsys):
 
 
 def test_shard_count_capped_before_any_walk(capsys, monkeypatch):
+    import sumfree._interval_walkers
     import sumfree.enumeration
     from sumfree.enumeration import SHARD_CAP
 
     def no_walk(*args, **kwargs):
         raise AssertionError("walker called although the shard count is refused")
 
-    for name in ("_walk", "_shard_root", "_interval_walk", "_interval_maximal"):
+    for name in ("_walk", "_shard_root"):
         monkeypatch.setattr(sumfree.enumeration, name, no_walk)
+    for name in ("_interval_walk", "_interval_maximal"):
+        monkeypatch.setattr(sumfree._interval_walkers, name, no_walk)
     assert SHARD_CAP >= 64
     for shards, argv in ((2 * SHARD_CAP, ["count", "--group", "5"]),
                          (2 * SHARD_CAP, ["count", "--interval", "5", "--maximal"])):
@@ -180,14 +183,16 @@ def test_count_two_wise_flag(capsys):
 
 
 def test_count_two_wise_checked_before_any_walk(capsys, monkeypatch):
+    import sumfree._interval_walkers
     import sumfree.enumeration
 
     def no_walk(*args, **kwargs):
         raise AssertionError("walker called although two-wise counting is refused")
 
     # count_two_wise itself checks n against its cap before it walks
-    for name in ("_walk", "_interval_walk", "_interval_maximal"):
-        monkeypatch.setattr(sumfree.enumeration, name, no_walk)
+    monkeypatch.setattr(sumfree.enumeration, "_walk", no_walk)
+    for name in ("_interval_walk", "_interval_maximal"):
+        monkeypatch.setattr(sumfree._interval_walkers, name, no_walk)
     for universe in (["--group", "37"], ["--interval-lo", "2", "--interval-hi", "33"]):
         code, out, err = run(capsys, "count", *universe, "--2wise")
         assert code == 2 and out == ""
@@ -209,13 +214,14 @@ def test_sweep_intervals_golden_rows(capsys):
 
 
 def test_sweep_intervals_cap_checked_before_any_walk(capsys, monkeypatch):
+    import sumfree._interval_walkers
     import sumfree.enumeration
 
     def no_walk(*args, **kwargs):
         raise AssertionError("walker called although the cap is exceeded")
 
-    monkeypatch.setattr(sumfree.enumeration, "_interval_walk", no_walk)
-    monkeypatch.setattr(sumfree.enumeration, "_interval_maximal", no_walk)
+    monkeypatch.setattr(sumfree._interval_walkers, "_interval_walk", no_walk)
+    monkeypatch.setattr(sumfree._interval_walkers, "_interval_maximal", no_walk)
     monkeypatch.setattr(sumfree.enumeration, "_walk", no_walk)
     code, out, err = run(capsys, "sweep-intervals", "--n-max", "41")
     assert code == 3 and out == ""
@@ -254,7 +260,7 @@ def test_random_cap_checked_before_any_draw(capsys, monkeypatch):
 
 
 def test_sweep_intervals_shard_invariance(capsys):
-    from sumfree.enumeration import _interval_walk
+    from sumfree._interval_walkers import _interval_walk
     from sumfree.universe import IntervalUniverse
 
     code, body, _ = run(capsys, "sweep-intervals", "--n-max", "12")

@@ -12,10 +12,10 @@ from oracles import (
     two_wise_split_walk,
 )
 import sumfree.enumeration
+from sumfree._group_walkers import _orbit_tally
+from sumfree._interval_walkers import _interval_walk
 from sumfree.enumeration import (
-    _interval_walk,
     _maximum,
-    _orbit_tally,
     _tally,
     _walk,
     build_count_record,
@@ -604,6 +604,18 @@ def test_sharded_sweep_matches_unsharded():
         count_by_largest(IntervalUniverse(1, 41))
     with pytest.raises(TypeError, match=r"interval universe, got group\[5\]"):
         count_by_largest(GroupUniverse(make_group([5])))
+
+
+def test_root_count_grows_with_the_ground():
+    # from n = 30 on the transfer runs from more than 8 roots (64 at n = 30
+    # and 33, 128 at n = 35); shard i still joins the roots = i (mod shards)
+    for n, f in ((30, 415_543), (33, 1_311_244), (35, 2_630_061)):
+        u = IntervalUniverse(1, n)
+        plain = count_by_largest(u)
+        assert sum(plain) == f, n
+        for k in (1, 8, 64):
+            shards = [_interval_walk(u, i, k) for i in range(k)]
+            assert [sum(column) for column in zip(*shards)] == plain, (n, k)
 
 
 def test_wide_windows_match_closed_forms():

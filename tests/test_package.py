@@ -119,8 +119,10 @@ def test_no_entry_point_loads_dataclasses_and_interval_jobs_load_no_groups(tmp_p
     for argv in interval_jobs + other_jobs:
         loaded = _loaded(*argv)
         assert "cli" in loaded and not loaded & {"dataclasses", "inspect"}, argv
-        if argv in interval_jobs:
-            assert "groups" not in loaded, argv
+        if argv in interval_jobs:  # no group module, and no group walker
+            assert not loaded & {"groups", "_group_walkers"}, argv
+        if argv[:2] in (["count", "--group"], ["sweep-groups", "--max-order"]):
+            assert "_interval_walkers" not in loaded, argv
         if argv[:1] == ["random"]:  # it draws from an interval: no group, no construction
             assert not loaded & {"groups", "construct", "json"}, argv  # and reads no JSON
         if argv[:1] == ["extract"]:
@@ -129,3 +131,15 @@ def test_no_entry_point_loads_dataclasses_and_interval_jobs_load_no_groups(tmp_p
             assert "csv" not in loaded, argv
         if argv[:1] == ["sweep-groups"]:  # the density check builds no construction
             assert "construct" not in loaded, argv
+
+
+def test_the_tracer_finds_the_enumeration_layer_in_its_module():
+    # bench/traced_cli.py wraps the public functions defined in
+    # sumfree.enumeration and reads its two count caches there: a name moved
+    # out of the module would drop out of the traced layers unnoticed
+    import sumfree.enumeration as enumeration
+
+    for name in [*sumfree._EXPORTS["enumeration"], "_interval_count", "_group_count"]:
+        assert getattr(enumeration, name).__module__ == "sumfree.enumeration", name
+    assert all(hasattr(getattr(enumeration, name), "cache_info")
+               for name in ("_interval_count", "_group_count"))

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from sumfree._interval_walkers import _interval_walk
 from sumfree.enumeration import (
-    _interval_walk,
     build_count_record,
     count_by_largest,
     count_sum_free,
