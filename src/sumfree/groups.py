@@ -178,21 +178,6 @@ class GroupSpec(Record):
             raise RuntimeError(f"basis images {images} give no automorphism of {self.moduli}")
         return tuple(table)
 
-    def fixing_orbits(self, prefix: tuple[int, ...],
-                      candidates: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-        """The orbits on the candidates of the automorphisms, in the group the
-        tables generate, that fix each element of prefix, ordered as by
-        _orbit_partition; the candidates must be a union of such orbits.
-
-        They are read off the orbits of the tuples prefix + (x,): y and z
-        share one exactly when an automorphism maps prefix + (y,) to
-        prefix + (z,).  With no prefix they are the orbits of the tables.
-        """
-        tables, k = self.automorphisms, len(prefix)
-        tuples = _orbit_partition(lambda p: [tuple(t[x] for x in p) for t in tables],
-                                  [prefix + (x,) for x in candidates])
-        return tuple(tuple(p[k] for p in o if p[:k] == prefix) for o in tuples)
-
     # derived structure ----------------------------------------------------
 
     def element_order(self, a: int) -> int:

@@ -11,6 +11,7 @@ from oracles import (
     two_wise_count_oracle,
     two_wise_split_walk,
 )
+import sumfree._group_walkers
 import sumfree.enumeration
 from sumfree._group_walkers import _orbit_tally
 from sumfree._interval_walkers import _interval_walk
@@ -32,7 +33,7 @@ from sumfree.enumeration import (
     maximal_sets_of_size,
 )
 from sumfree.errors import CapacityError
-from sumfree.groups import GroupSpec, abelian_groups_of_order, index2_subgroups, make_group
+from sumfree.groups import abelian_groups_of_order, index2_subgroups, make_group
 from sumfree.universe import (
     ElemSet,
     GroupUniverse,
@@ -515,24 +516,69 @@ def test_orbit_tally_files_the_empty_set_of_the_trivial_group():
 def test_orbit_tally_checks_each_division(monkeypatch):
     # an orbit split in two is no orbit: the sets rooted at one of its
     # halves do not divide evenly among its elements
-    fixing_orbits = GroupSpec.fixing_orbits
-
-    def split(g, prefix, candidates):
-        blocks = fixing_orbits(g, prefix, candidates)
-        if prefix:
-            return blocks
-        first, *rest = blocks
-        return (first[:len(first) // 2], first[len(first) // 2:], *rest)
-
-    monkeypatch.setattr(GroupSpec, "fixing_orbits", split)
+    orbits = sumfree._group_walkers._orbits
     for moduli, message in (
         ([7], r"\(7,\): 1 sum-free sets hold \(1,\) and 2 of the 3 elements of its block: "
               r"3 \* 1 is not a multiple of 2"),
         ([4, 4], r"\(4, 4\): 1 sum-free sets hold \(1, 4\) and 3 of the 8 elements of its "
                  r"block: 8 \* 1 is not a multiple of 3"),
     ):
+        g = make_group(moduli)
+
+        def split(gens, elements):
+            blocks = orbits(gens, elements)
+            if gens is not g.automorphisms:  # a stabiliser's: below the empty set
+                return blocks
+            first, *rest = blocks
+            return (first[:len(first) // 2], first[len(first) // 2:], *rest)
+
+        monkeypatch.setattr(sumfree._group_walkers, "_orbits", split)
         with pytest.raises(RuntimeError, match=message):
-            _orbit_tally(GroupUniverse(make_group(moduli)), False)
+            _orbit_tally(GroupUniverse(g), False)
+
+
+def test_orbit_tally_is_exact_on_any_stabiliser_subgroup(monkeypatch):
+    # the rooting is exact for any group of automorphisms that fix the
+    # rooted set, so the generator cap can cost speed but not the count:
+    # cut the stabiliser's generators to the first one, then to none, at
+    # every level, against one uncut _walk
+    stabiliser = sumfree._group_walkers._stabiliser
+    for moduli in ([2, 2, 2, 2], [4, 2, 2], [3, 3], [4, 4]):
+        u = GroupUniverse(make_group(moduli))
+        ground = u.ground_mask
+        plain = [0] * (2 * u.group.order)
+
+        def visit(s, forbidden):
+            plain[2 * s.bit_count() + (not ground & ~(s | forbidden))] += 1
+
+        _walk(u.forbid, visit, ground, 0, 0, 0, True)
+        merged = [c for k in range(u.group.order) for c in (plain[2 * k] + plain[2 * k + 1], 0)]
+        for keep in (1, 0):
+            cut = []
+
+            def fewer(gens, q):
+                full = stabiliser(gens, q)
+                cut.append(len(full) > keep)
+                return full[:keep]
+
+            monkeypatch.setattr(sumfree._group_walkers, "_stabiliser", fewer)
+            assert _orbit_tally(u, True) == plain, (moduli, keep)
+            assert _orbit_tally(u, False) == merged, (moduli, keep)
+            assert any(cut), (moduli, keep)  # the cut dropped generators
+
+
+def test_orbit_tally_memory_is_bounded():
+    # a rooting step builds no cell array past its bound: a 136,000-cell
+    # list alone would hold about 1.1 MB
+    u = GroupUniverse(make_group([4, 4, 2]))
+    tracemalloc.start()
+    try:
+        tally = _orbit_tally(u, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(tally) == 509826
+    assert peak < 512 << 10, peak
 
 
 def _prefix_counts(by_top):

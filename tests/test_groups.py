@@ -4,6 +4,7 @@ import random
 import pytest
 
 from oracles import index2_kernel_oracle
+from sumfree._group_walkers import _orbits, _stabiliser
 from sumfree.arith import partitions, prime_factors
 from sumfree.errors import CapacityError
 from sumfree.groups import (
@@ -275,7 +276,7 @@ def test_automorphism_tables_are_automorphisms():
 def test_orbits_partition_the_nonzero_elements():
     for n in range(1, 25):
         for g in abelian_groups_of_order(n):
-            orbits = g.fixing_orbits((), range(1, n))
+            orbits = _orbits(g.automorphisms, range(1, n))
             assert sorted(x for orbit in orbits for x in orbit) == list(range(1, n))
             assert [len(o) for o in orbits] == sorted((len(o) for o in orbits), reverse=True)
             for orbit in orbits:
@@ -287,7 +288,7 @@ def test_orbits_partition_the_nonzero_elements():
     assert len(make_group([37]).automorphisms) == 1
     for moduli, sizes in (([37], [36]), ([2, 2, 2, 2, 2], [31]), ([4, 4, 2], [24, 4, 3])):
         g = make_group(moduli)
-        assert [len(o) for o in g.fixing_orbits((), range(1, g.order))] == sizes
+        assert [len(o) for o in _orbits(g.automorphisms, range(1, g.order))] == sizes
 
 
 def test_automorphism_check_rejects_a_non_automorphism():
@@ -317,12 +318,14 @@ def test_stabiliser_orbits():
         for g in abelian_groups_of_order(n):
             add = [[g.add_index(a, b) for b in range(n)] for a in range(n)]
             whole = _generated_group(g.automorphisms, n) if n <= 16 else None
-            orbits = g.fixing_orbits((), range(1, n))
+            orbits = _orbits(g.automorphisms, range(1, n))
             for i, orbit in enumerate(orbits):
                 r = orbit[0]
+                gens = _stabiliser(g.automorphisms, r)
+                assert all(h[r] == r for h in gens), (g.moduli, r)
                 # the blocks split r's orbit and the later ones, r left out
                 later = sorted(x for o in orbits[i:] for x in o if x != r)
-                blocks = g.fixing_orbits((r,), later)
+                blocks = _orbits(gens, later)
                 assert sorted(x for b in blocks for x in b) == later, (g.moduli, r)
                 assert [len(b) for b in blocks] == sorted(map(len, blocks), reverse=True)
                 # candidates of {r}: neither 2r nor a half of r
@@ -332,9 +335,10 @@ def test_stabiliser_orbits():
                 # _orbit_tally passes the candidates alone, which drops the
                 # singletons 2r and the halves of r
                 kept = tuple(b for b in blocks if set(b) <= set(candidates))
-                assert g.fixing_orbits((r,), candidates) == kept, (g.moduli, r)
+                assert _orbits(gens, candidates) == kept, (g.moduli, r)
                 if whole:  # the orbits of the automorphisms that fix r
                     fixing = [h for h in whole if h[r] == r]
+                    assert set(gens) <= set(fixing), (g.moduli, r)
                     expected = {frozenset(h[x] for h in fixing) for x in later}
                     assert set(map(frozenset, blocks)) == expected, (g.moduli, r)
                     # and of those that fix r and q too: the next rooting step
@@ -342,10 +346,11 @@ def test_stabiliser_orbits():
                         rest = [x for x in range(1, n) if x not in (r, q)]
                         pair = [h for h in fixing if h[q] == q]
                         expected = {frozenset(h[x] for h in pair) for x in rest}
-                        got = g.fixing_orbits((r, q), rest)
+                        got = _orbits(_stabiliser(gens, q), rest)
                         assert sorted(x for b in got for x in b) == rest, (g.moduli, r, q)
                         assert set(map(frozenset, got)) == expected, (g.moduli, r, q)
     # Z_41's units act regularly: every stabiliser is trivial, and of the
     # 39 other nonzero elements 2 and the half 21 of 1 are no candidates
-    blocks = make_group([41]).fixing_orbits((1,), [x for x in range(2, 41) if x not in (2, 21)])
+    gens = _stabiliser(make_group([41]).automorphisms, 1)
+    blocks = _orbits(gens, [x for x in range(2, 41) if x not in (2, 21)])
     assert len(blocks) == 37 and {len(b) for b in blocks} == {1}
