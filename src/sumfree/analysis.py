@@ -119,16 +119,15 @@ def weighted_density_check(n: int) -> WeightedDensityReport:
 
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    band1 = set(middle_third(n).members())
-    band2 = set(outer_bands(n).members())
+    band1, band2 = middle_third(n).mask, outer_bands(n).mask
     target = Fraction(2, 7)
     slacks: dict[int, Fraction] = {}
     for d in divisors(n):
         if d == n:
             continue
         sub_order = n // d
-        c1 = sum(1 for x in range(d, n, d) if x in band1)
-        c2 = sum(1 for x in range(d, n, d) if x in band2)
+        c1 = sum(band1 >> x & 1 for x in range(d, n, d))
+        c2 = sum(band2 >> x & 1 for x in range(d, n, d))
         lhs = Fraction(4 * c1, 7 * sub_order) + Fraction(3 * c2, 7 * sub_order)
         slacks[d] = lhs - target
     min_slack = min(slacks.values())

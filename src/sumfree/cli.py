@@ -128,7 +128,10 @@ def cmd_verify(args) -> int:
                            is_two_wise_sum_free)
 
     u = _universe_from_args(args)
-    s = ElemSet.from_values(u, _read_int_array(args.set))
+    values = _read_int_array(args.set)
+    s = ElemSet.from_values(u, values)
+    if len(s) != len(values):
+        raise ValueError("elements must be distinct")
     sf = is_sum_free(s)
     report = {
         "universe": u.describe(),

@@ -97,10 +97,9 @@ def lift_residues(a: ElemSet, window_hi: int) -> ElemSet:
     if window_hi < 1:
         raise ValueError(f"need window_hi >= 1, got {window_hi}")
     n = base.group.moduli[0]
-    residues = set(a.members())
     u = IntervalUniverse(1, window_hi)
     return ElemSet.from_values(
-        u, (x for x in range(1, window_hi + 1) if x % n in residues)
+        u, (x for x in range(1, window_hi + 1) if a.mask >> x % n & 1)
     )
 
 

@@ -222,8 +222,8 @@ def extract_sum_free(elements: Iterable[int]) -> ExtractionTrace:
 
     block = middle_block(p)  # a set of Z_p
     residue_set = ElemSet.from_values(block.universe, ((t_inv * b) % p for b in block.members()))
-    chosen = set(residue_set.members())
-    picked = [a for a in elems if a % p in chosen]
+    chosen = residue_set.mask
+    picked = [a for a in elems if chosen >> a % p & 1]
     subset = ElemSet.from_values(u, picked)
     if 3 * subset.cardinality <= n:
         raise AssertionError("extracted subset too small; dilator search is broken")

@@ -69,6 +69,17 @@ def test_verify_rejects_json_booleans(tmp_path, capsys):
     assert "array of integers" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("universe, values", [(("--interval", "5"), "[1, 1, 4]"),
+                                              (("--group", "7"), "[2, 2]")])
+def test_verify_rejects_repeated_members(tmp_path, capsys, fmt, universe, values):
+    f = tmp_path / "s.json"
+    f.write_text(values)
+    code, out, err = run(capsys, "verify", *universe, "--set", str(f), "--format", fmt)
+    assert code == 2 and out == ""
+    assert "distinct" in err
+
+
 def test_missing_universe_is_input_error(tmp_path, capsys):
     f = tmp_path / "s.json"
     f.write_text("[1]")

@@ -55,6 +55,12 @@ def test_naive_examples():
     got = []
     assert enumerate_naive(z4, got.append) == 5
     assert {s.members() for s in got} == {(), (1,), (2,), (3,), (1, 3)}
+    # the oracle steps through the ground's subset masks in ascending order
+    for u in (IntervalUniverse(3, 14), GroupUniverse(make_group([4, 2]))):
+        naive, walked = [], []
+        enumerate_naive(u, lambda s: naive.append(s.mask))
+        enumerate_sum_free(u, lambda s: walked.append(s.mask))
+        assert naive == sorted(walked)
 
 
 def test_naive_cap():
