@@ -5,15 +5,13 @@ a depth the group sets (_orbit_tally).  A group's maximal sets (all, or
 those of one size) come from a cutting visit on enumeration.py's _walk.
 """
 
-from itertools import compress
+from collections import defaultdict
 from operator import itemgetter
 from typing import Optional, Sequence
 
 from .enumeration import _walk
 from .groups import _orbit_partition
 from .universe import ElemSet, GroupUniverse, _mask_of, _positions
-
-CELL_BOUND = 1 << 16  # cells a rooting step may build: 512 KB of list
 
 
 def _orbits(gens: Sequence[tuple[int, ...]],
@@ -54,28 +52,28 @@ def _orbit_tally(u: GroupUniverse, maximal: bool) -> list[int]:
     meet an orbit Q of the candidates (_orbits, largest first) but no
     earlier one, and moves q (fixed in Q) onto all of Q: if N sets of B
     hold q and m members of Q, B holds |Q| * N / m such sets (checked to
-    be exact).  While a Q of two or more candidates is left and its cells
-    stay within CELL_BOUND and 2^c, c the candidates left (a walk over
-    them visits fewer sets), the step counts B so from s | {q} and leaves
-    Q out of left; one walk from s over left counts s and the rest.  Each
-    rooting adds a digit for m, at most min(|Q|, |G| // 2), the most a
-    sum-free set holds: a member at y steps a set's cell by 1 in k and in
-    the m of each Q that holds y, and maximality by 1 in x.
+    be exact).  A rooting adds a digit for m, up to min(|Q|, |G| // 2), the
+    most a sum-free set holds: a member at y steps a set's cell by 1 in k
+    and in the m of each Q that holds y, and maximality by 1 in x.  While
+    a Q of two or more candidates is left and the cells' index space stays
+    within 2^c, c the candidates left (walking them visits fewer sets),
+    the step counts B so from s | {q}, in a dict of the cells reached, and
+    leaves Q out of left; one walk from s over left counts s and the rest.
     """
     group, forbid, ground = u.group, u.forbid, u.ground_mask
 
     def root(prefix: tuple[int, ...], s: int, gens: Sequence[tuple[int, ...]], f: int,
-             left: int, steps: list[int], stride: int, tally: list[int]) -> None:
+             left: int, steps: list[int], stride: int, tally: list[int] | dict[int, int]) -> None:
         for block in _orbits(gens, _positions(left & ~f)):
             q, size, width = block[0], len(block), min(len(block), group.order // 2) + 1
-            if size == 1 or len(tally) * width > min(CELL_BOUND, 1 << (left & ~f).bit_count()):
+            if size == 1 or 2 * group.order * stride * width > 1 << (left & ~f).bit_count():
                 break
             qmask = _mask_of(block, group.order)
-            counts = [0] * (len(tally) * width)  # [cell * width + m]
+            counts: defaultdict[int, int] = defaultdict(int)  # [cell * width + m]
             root(prefix + (q,), s | 1 << q, _stabiliser(gens, q), forbid(s, f, q) | 1 << q, left,
                  [step * width + (qmask >> y & 1) for y, step in enumerate(steps)],
                  stride * width, counts)
-            for i, n in compress(enumerate(counts), counts):
+            for i, n in sorted(counts.items()):  # a bad division names its lowest cell
                 cell, m = divmod(i, width)
                 share, rem = divmod(size * n, m)
                 if rem:

@@ -20,9 +20,10 @@ never an error.
 The predicates read the universe off the set; is_a_free refuses two sets
 over different universes with ValueError.
 
-Each universe is also the one home of its mask arithmetic: plus and minus
-for the predicates, and the step of every walk in enumeration.py.  Walks
-take candidates from slot first_slot on; forbid(s, f, slot) turns the
+Each universe is also the home of its mask arithmetic: plus and minus
+for the predicates, and the step of the walks in enumeration.py and
+_group_walkers.py (_interval_walkers.py keeps its own).  Walks take
+candidates from slot first_slot on; forbid(s, f, slot) turns the
 forbidden mask f of s into that of s plus the element at slot (for an
 interval, a slot above s), and excluded(c, slot) bounds how much of c a
 sum-free set holding that element must leave out.
