@@ -35,7 +35,7 @@ _EXPORTS = {
     ),
     "groups": (
         "GroupSpec", "Subgroup", "abelian_groups_of_order",
-        "generated_subgroup", "group_from_json", "index2_subgroups", "make_group",
+        "generated_subgroup", "index2_subgroups", "make_group",
     ),
     "universe": (
         "ElemSet", "GroupUniverse", "IntervalUniverse", "Universe", "count_schur_triples",

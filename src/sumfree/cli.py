@@ -11,11 +11,10 @@ Commands:
 Exit codes: 0 success or true verdict, 1 false verdict, 2 input error,
 3 resource cap or generation timeout.
 
-Universes are selected with --interval N (meaning [1, N]),
---interval-lo/--interval-hi, or --group M1,M2,...  Set files are JSON
-arrays of integers (interval values, or canonical group element indices).
-CSV output uses '.' decimals and no locale; exact rationals are printed
-as p/q next to a float column.
+Universes are selected with --interval N (meaning [1, N]), --interval LO,HI
+or --group M1,M2,...  Set files are JSON arrays of integers (interval
+values, or canonical group element indices).  CSV output uses '.' decimals
+and no locale; exact rationals are printed as p/q next to a float column.
 """
 
 from __future__ import annotations
@@ -37,37 +36,30 @@ if TYPE_CHECKING:
 
 
 def _add_universe_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--interval", type=int, metavar="N", help="interval [1, N]")
-    p.add_argument("--interval-lo", type=int, metavar="LO")
-    p.add_argument("--interval-hi", type=int, metavar="HI")
+    p.add_argument("--interval", metavar="N|LO,HI", help="interval [1, N] or [LO, HI]")
     p.add_argument("--group", metavar="M1,M2,...", help="cyclic moduli")
 
 
 def _universe_from_args(args):
     from .universe import GroupUniverse, IntervalUniverse
 
-    picked = sum(
-        x is not None
-        for x in (args.interval, args.interval_lo, args.interval_hi, args.group)
-    )
-    if args.group is not None:
-        if picked > 1:
-            raise ValueError("give either interval flags or --group, not both")
-        items = args.group.split(",")
-        if not all(x.strip() for x in items):
-            raise ValueError(f"--group {args.group!r} has an empty item")
+    given = [(flag, text) for flag, text in (("--interval", args.interval),
+                                             ("--group", args.group)) if text is not None]
+    if len(given) != 1:
+        raise ValueError("give either --interval or --group, not both" if given else
+                         "no universe given: use --interval N|LO,HI or --group M1,M2,...")
+    flag, text = given[0]
+    items = text.split(",")
+    if not all(x.strip() for x in items):
+        raise ValueError(f"{flag} {text!r} has an empty item")
+    values = [int(x) for x in items]
+    if flag == "--group":
         from .groups import make_group
 
-        return GroupUniverse(make_group([int(x) for x in items]))
-    if args.interval is not None:
-        if args.interval_lo is not None or args.interval_hi is not None:
-            raise ValueError("--interval conflicts with --interval-lo/--interval-hi")
-        return IntervalUniverse(1, args.interval)
-    if args.interval_lo is not None and args.interval_hi is not None:
-        return IntervalUniverse(args.interval_lo, args.interval_hi)
-    raise ValueError(
-        "no universe given: use --interval, --interval-lo with --interval-hi, or --group"
-    )
+        return GroupUniverse(make_group(values))
+    if len(values) > 2:
+        raise ValueError(f"--interval {text!r} has {len(values)} items, expected N or LO,HI")
+    return IntervalUniverse(*values) if len(values) == 2 else IntervalUniverse(1, *values)
 
 
 def _emit(text: str, path: Optional[str]) -> None:

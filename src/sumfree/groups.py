@@ -193,10 +193,6 @@ class GroupSpec(Record):
         """Number of even prime-power factors in the canonical decomposition."""
         return sum(1 for q in self.decomposition if q % 2 == 0)
 
-    def to_json_dict(self) -> dict:
-        """Wire form {"moduli": [...]}; elements travel as canonical indices."""
-        return {"moduli": list(self.moduli)}
-
 
 _T = TypeVar("_T")
 
@@ -233,13 +229,6 @@ def make_group(moduli: Iterable[int]) -> GroupSpec:
     if order > DEFAULT_MAX_ORDER:
         raise CapacityError(f"group order {order} exceeds cap {DEFAULT_MAX_ORDER}")
     return GroupSpec(mods)
-
-
-def group_from_json(data: dict) -> GroupSpec:
-    """Parse the wire form {"moduli": [...]}."""
-    if not isinstance(data, dict) or not isinstance(data.get("moduli"), list):
-        raise ValueError('expected an object of the form {"moduli": [...]}')
-    return make_group(data["moduli"])
 
 
 class Subgroup(Record):

@@ -137,6 +137,17 @@ def test_decomposition_ratio_example():
         decomposition_ratio(41)
 
 
+@pytest.mark.parametrize("check, arg, message", [
+    (weighted_density_check, 1, "need n >= 2, got 1"),
+    (structure_verdict, ElemSet.from_values(GroupUniverse(make_group([5])), [1, 4]),
+     "structure law applies to integer interval sets"),
+    (decomposition_ratio, 0, "need n >= 1, got 0"),
+])
+def test_analyses_check_their_input(check, arg, message):
+    with pytest.raises(ValueError, match=message):
+        check(arg)
+
+
 def test_singleton_scan():
     hits = singleton_maximal_groups(16)
     assert [g.moduli for g, _ in hits] == [(2,), (3,), (4,)]

@@ -1,3 +1,5 @@
+import pytest
+
 from sumfree.arith import divisors, is_prime, partitions, prime_factors
 
 
@@ -11,6 +13,8 @@ def test_prime_factors():
     assert prime_factors(12) == {2: 2, 3: 1}
     assert prime_factors(49) == {7: 2}
     assert prime_factors(97) == {97: 1}
+    with pytest.raises(ValueError, match="cannot factor 0"):
+        prime_factors(0)
 
 
 def test_prime_factors_reconstruct():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumfree.cli import main
+from sumfree.cli import group_sweep_rows, main
 from sumfree.enumeration import DEFAULT_GROUND_CAP
 from sumfree.groups import DEFAULT_MAX_ORDER
 from sumfree.universe import GroupUniverse
@@ -80,6 +80,32 @@ def test_verify_rejects_repeated_members(tmp_path, capsys, fmt, universe, values
     assert "distinct" in err
 
 
+@pytest.mark.parametrize("values, sorted_values, code", [("[4, 1]", [1, 4], 0),
+                                                         ("[2, 1]", [1, 2], 1)])
+def test_verify_json_report(tmp_path, capsys, values, sorted_values, code):
+    f = tmp_path / "s.json"
+    f.write_text(values)
+    got, out, _ = run(capsys, "verify", "--interval", "5", "--set", str(f), "--format", "json")
+    report = json.loads(out)
+    assert got == code and list(report) == ["universe", "set", "sum_free", "maximal_sum_free",
+                                            "two_wise_sum_free", "schur_triples"]
+    assert report["universe"] == "interval[1,5]" and report["set"] == sorted_values
+    assert report["sum_free"] is (code == 0)
+
+
+@pytest.mark.parametrize("universe, message", [
+    (["--interval", ",5"], "--interval ',5' has an empty item"),
+    (["--interval", "1,2,3"], "--interval '1,2,3' has 3 items, expected N or LO,HI"),
+    (["--interval", "x"], "invalid literal for int()"),
+    (["--interval", "5,4"], "need 1 <= lo <= hi, got [5, 4]"),
+    (["--interval", "4", "--group", "3"], "give either --interval or --group, not both"),
+    ([], "no universe given: use --interval N|LO,HI or --group M1,M2,..."),
+])
+def test_universe_flags_refuse_bad_input(capsys, universe, message):
+    code, out, err = run(capsys, "count", *universe)
+    assert (code, out) == (2, "") and message in err
+
+
 def test_missing_universe_is_input_error(tmp_path, capsys):
     f = tmp_path / "s.json"
     f.write_text("[1]")
@@ -121,10 +147,10 @@ def test_count_cap_exit_code(capsys):
 
 
 def test_count_sub_interval_and_shards(capsys):
-    code, out, _ = run(capsys, "count", "--interval-lo", "4", "--interval-hi", "10",
-                       "--format", "json")
+    code, out, _ = run(capsys, "count", "--interval", "4,10", "--format", "json")
     assert code == 0
-    assert json.loads(out)["f"] == 64
+    data = json.loads(out)
+    assert data["universe"] == "interval[4,10]" and data["f"] == 64
     code, out, _ = run(capsys, "count", "--interval", "12", "--shards", "4",
                        "--format", "json")
     assert code == 0
@@ -186,6 +212,11 @@ def test_sweep_groups_refuses_a_negative_bound(capsys):
         assert (code, out) == (0, "moduli,order,leading,f,ratio,ratio_float\n")
 
 
+def test_group_sweep_rows_refuses_an_unknown_check():
+    with pytest.raises(ValueError, match="unknown check 'bogus'"):
+        group_sweep_rows(4, "bogus")
+
+
 def test_count_two_wise_flag(capsys):
     code, out, _ = run(capsys, "count", "--interval", "5", "--2wise",
                        "--format", "json")
@@ -204,7 +235,7 @@ def test_count_two_wise_checked_before_any_walk(capsys, monkeypatch):
     monkeypatch.setattr(sumfree.enumeration, "_walk", no_walk)
     for name in ("_interval_walk", "_interval_maximal"):
         monkeypatch.setattr(sumfree._interval_walkers, name, no_walk)
-    for universe in (["--group", "37"], ["--interval-lo", "2", "--interval-hi", "33"]):
+    for universe in (["--group", "37"], ["--interval", "2,33"]):
         code, out, err = run(capsys, "count", *universe, "--2wise")
         assert code == 2 and out == ""
         assert "[1, n] universes" in err
@@ -441,6 +472,11 @@ def test_random_timeout_exit_code(capsys):
                          "--range", "10", "--max-iterations", str(10 ** 12))
     assert code == 3 and out == ""
     assert "reached 4 members and is maximal sum-free in [1, 10]" in err
+    # five passes cannot grow {1} to 40 members of [1, 100]: the pass budget runs out
+    code, out, err = run(capsys, "random", "--seed-element", "1", "--target", "40",
+                         "--range", "100", "--max-iterations", "5")
+    assert code == 3 and out == ""
+    assert "in 5 passes (reached 1)" in err
 
 
 def test_random_target_checked_before_any_draw(capsys, monkeypatch):
@@ -482,7 +518,7 @@ _UNIVERSE_ARGS = st.one_of(
     _GROUP_ARGS.map(lambda g: ["--group", g]),
     _SIZES.map(lambda n: ["--interval", str(n)]),
     st.tuples(st.integers(-2, 12), st.integers(-2, 20)).map(
-        lambda t: ["--interval-lo", str(t[0]), "--interval-hi", str(t[1])]),
+        lambda t: [f"--interval={t[0]},{t[1]}"]),  # '=' lets LO be negative
     st.tuples(_SIZES, _GROUP_ARGS).map(lambda t: ["--interval", str(t[0]), "--group", t[1]]),
     st.just([]),
 )

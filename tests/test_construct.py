@@ -144,6 +144,21 @@ def test_lift_residues_examples():
         lift_residues(bad, 10)
 
 
+@pytest.mark.parametrize("construction, args, message", [
+    (extremal_intervals, (0,), "need n >= 1, got 0"),
+    (middle_third, (1,), "need n >= 2, got 1"),
+    (outer_bands, (1,), "need n >= 2, got 1"),
+    (periodic_residues, (1, 3, 0), "need window_hi >= 1, got 0"),
+    (lift_residues, (ElemSet.from_values(GroupUniverse(make_group([2, 2])), [1]), 5),
+     "base set must live in a cyclic group universe Z_n"),
+    (lift_residues, (ElemSet.from_values(GroupUniverse(make_group([5])), [1, 4]), 0),
+     "need window_hi >= 1, got 0"),
+])
+def test_constructions_check_their_input(construction, args, message):
+    with pytest.raises(ValueError, match=message):
+        construction(*args)
+
+
 def test_lift_residues_always_sum_free():
     rng = random.Random(17)
     for n in range(2, 25):

@@ -404,6 +404,8 @@ def test_count_two_wise_examples():
         assert count_two_wise(n) == 1 << n
     with pytest.raises(CapacityError):
         count_two_wise(19)
+    with pytest.raises(ValueError, match="need n >= 1, got 0"):
+        count_two_wise(0)
 
 
 def test_count_two_wise_matches_oracle():

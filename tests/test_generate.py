@@ -184,6 +184,8 @@ def test_find_dilator_examples():
     for weights in ({1: 0, 2: 0, 3: 0, 4: 0}, {}):  # no weight: no third to catch
         with pytest.raises(ValueError, match="got 0"):
             find_dilator(weights, 5)
+    with pytest.raises(ValueError, match=r"need a prime p = 2 \(mod 3\), got 7"):
+        find_dilator({1: 1}, 7)  # 7 = 1 (mod 3)
 
 
 def test_extract_examples():

@@ -12,7 +12,6 @@ from sumfree.groups import (
     Subgroup,
     abelian_groups_of_order,
     generated_subgroup,
-    group_from_json,
     index2_subgroups,
     make_group,
 )
@@ -39,6 +38,8 @@ def test_make_group_errors():
 def test_make_group_rejects_non_integer_moduli():
     with pytest.raises(ValueError, match="must be an integer"):
         make_group([4.7])  # not truncated to Z_4
+    with pytest.raises(ValueError, match="must be an integer"):
+        make_group(["3"])  # not parsed
 
 
 def test_add_neg_identity_examples():
@@ -230,6 +231,8 @@ def test_abelian_groups_of_order_examples():
     assert [g.moduli for g in abelian_groups_of_order(6)] == [(2, 3)]
     assert [g.moduli for g in abelian_groups_of_order(12)] == [(4, 3), (2, 2, 3)]
     assert [g.moduli for g in abelian_groups_of_order(1)] == [()]
+    with pytest.raises(ValueError, match="order must be >= 1, got 0"):
+        abelian_groups_of_order(0)
 
 
 def test_abelian_groups_count_and_distinctness():
@@ -243,23 +246,6 @@ def test_abelian_groups_count_and_distinctness():
         assert len(decomps) == len(groups)
         for g in groups:
             assert g.order == n
-
-
-def test_group_json_round_trip():
-    g = make_group([2, 4, 3])
-    assert g.to_json_dict() == {"moduli": [2, 4, 3]}
-    assert group_from_json(g.to_json_dict()) == g
-    with pytest.raises(ValueError):
-        group_from_json({"modulus": [2]})
-
-
-def test_group_from_json_rejects_string_moduli():
-    with pytest.raises(ValueError, match="must be an integer"):
-        group_from_json({"moduli": ["3"]})
-    # an int is not iterable, and a string would be read one character at a time
-    for moduli in (6, "23", None):
-        with pytest.raises(ValueError, match="moduli"):
-            group_from_json({"moduli": moduli})
 
 
 def test_automorphism_tables_are_automorphisms():
