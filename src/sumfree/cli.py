@@ -52,7 +52,12 @@ def _universe_from_args(args):
     items = text.split(",")
     if not all(x.strip() for x in items):
         raise ValueError(f"{flag} {text!r} has an empty item")
-    values = [int(x) for x in items]
+    values = []
+    for x in items:
+        try:
+            values.append(int(x))
+        except ValueError:
+            raise ValueError(f"{flag} {text!r} has a non-integer item {x!r}") from None
     if flag == "--group":
         from .groups import make_group
 

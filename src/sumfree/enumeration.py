@@ -48,10 +48,9 @@ from .universe import (
     _mask_of,
     is_sum_free,
 )
-from .errors import DEFAULT_GROUND_CAP, MAXIMUM_CAP, CapacityError
+from .errors import DEFAULT_GROUND_CAP, DEFAULT_MAX_ORDER, MAXIMUM_CAP, CapacityError
 
 NAIVE_CAP = 25
-TWO_WISE_CAP = 18
 SHARD_CAP = 4096  # each shard costs a root and a result row, walked or not
 
 
@@ -100,8 +99,9 @@ def _walk(forbid: Callable[[int, int, int], int],
     return total
 
 
-def _tally(u: Universe) -> tuple[int, int, dict[int, int]]:
-    """(count, maximal count, {cardinality: count})."""
+def _tally(u: Universe, maximal: bool) -> tuple[int, Optional[int], dict[int, int]]:
+    """(count, maximal count, {cardinality: count}); no maximal count, and
+    no walk or tally of maximality, unless maximal is set."""
     _require_ground(u, DEFAULT_GROUND_CAP)
     if isinstance(u, IntervalUniverse):
         from ._interval_walkers import _interval_maximal, _interval_walk
@@ -110,14 +110,14 @@ def _tally(u: Universe) -> tuple[int, int, dict[int, int]]:
         width = u.ground_size + 2
         packed = sum(_interval_walk(u, 0, 1, width))
         hist = [packed >> width * k & (1 << width) - 1 for k in range(u.ground_size + 1)]
-        f, f_max = sum(hist), _interval_maximal(u, None)
+        f_max = _interval_maximal(u, None) if maximal else None
     else:
         from ._group_walkers import _orbit_tally
 
-        tally = _orbit_tally(u, True)
+        tally = _orbit_tally(u, maximal)
         hist = [tally[2 * k] + tally[2 * k + 1] for k in range(u.group.order)]
-        f, f_max = sum(hist), sum(tally[1::2])
-    return f, f_max, {m: c for m, c in enumerate(hist) if c}
+        f_max = sum(tally[1::2]) if maximal else None
+    return sum(hist), f_max, {m: c for m, c in enumerate(hist) if c}
 
 
 @lru_cache(maxsize=None)
@@ -320,12 +320,18 @@ def maximal_sets_of_size(u: GroupUniverse, size: int) -> list[ElemSet]:
 
 
 def count_maximal(u: Universe) -> int:
-    return _tally(u)[1]
+    """Number of maximal sum-free sets; an interval's comes from the maximal walk alone."""
+    if isinstance(u, GroupUniverse):
+        return _tally(u, True)[1]
+    _require_ground(u, DEFAULT_GROUND_CAP)
+    from ._interval_walkers import _interval_maximal
+
+    return _interval_maximal(u, None)
 
 
 def count_by_cardinality(u: Universe) -> dict[int, int]:
     """Histogram {m: number of sum-free sets of cardinality m}; sums to the count."""
-    return _tally(u)[2]
+    return _tally(u, False)[2]
 
 
 def count_two_wise(n: int) -> int:
@@ -343,8 +349,8 @@ def count_two_wise(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n > TWO_WISE_CAP:
-        raise CapacityError(f"two-wise counting capped at n <= {TWO_WISE_CAP}, got {n}")
+    if n >= DEFAULT_MAX_ORDER.bit_length():  # 2^n > the mask-width cap; 2^n is never built
+        raise CapacityError(f"[1, {n}]: two-wise table of 2^{n} bits, cap is {DEFAULT_MAX_ORDER}")
     from ._interval_walkers import _interval_maximal
 
     found: list[int] = []
@@ -394,7 +400,7 @@ def build_count_record(u: Universe, with_maximal: bool = False,
         f_two_wise = count_two_wise(u.hi)
     fused = with_maximal or with_cardinality
     if fused:
-        f, f_max, hist = _tally(u)
+        f, f_max, hist = _tally(u, with_maximal)
     if shard_count > 1:
         total = sum(count_sum_free_sharded(u, i, shard_count) for i in range(shard_count))
         if fused and total != f:

@@ -35,7 +35,7 @@ width, where a per-bit step on a big int would rewrite it whole.
 """
 
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ._record import Record
 from .errors import DEFAULT_MAX_ORDER, CapacityError
@@ -345,16 +345,13 @@ def is_maximal_sum_free(s: ElemSet) -> bool:
     return all(u.plus(1 << i, u.value_of(i)) & mask for i in _positions(rest))
 
 
-def is_two_wise_sum_free(s: ElemSet) -> bool:
-    """True iff s splits into two disjoint sum-free parts (either may be empty).
-
-    Decided by backtracking 2-coloring on an explicit stack, so that large
-    sets cannot exhaust the recursion limit.  Each part carries its sumset
-    mask: v joins part p unless v is in it or v + (p | {v}) meets p | {v}.
-    A sum-free set goes into the first part whole, without backtracking.
+def _two_colour(u: Universe, elems: Sequence[int], backtrack: bool = True) -> bool:
+    """True iff elems split into two sum-free parts, by backtracking
+    2-coloring on an explicit stack, so that large sets cannot exhaust the
+    recursion limit.  Each part carries its sumset mask: v joins part p
+    unless v is in it or v + (p | {v}) meets p | {v}.  Without backtrack
+    only the first descent is tried, and False means undecided.
     """
-    u = s.universe
-    elems = s.members()
     parts, sums = [0, 0], [0, 0]
     chosen: list[tuple[int, int]] = []  # (part, its sums before) per placed element
     first_try = 0
@@ -373,9 +370,59 @@ def is_two_wise_sum_free(s: ElemSet) -> bool:
                 first_try = 0
                 break
         else:
-            if not chosen:
+            if not chosen or not backtrack:
                 return False
             p, sums[p] = chosen.pop()
             parts[p] ^= 1 << u.slot_of(elems[len(chosen)])
             first_try = p + 1
     return True
+
+
+def _blocks(s: ElemSet) -> list[int]:
+    """The slot masks of the blocks of s, its members linked by triples
+    x + y = z of s; a member in no triple lies in none.
+
+    The triples with summand x lie in x | t | t - x, t = (s + x) & s, one
+    block, merged with the blocks it meets.  owner maps a slot to the
+    block it joined first, and into a merged block to the one that took
+    it, so each slot and each merge is handled once.
+    """
+    u, mask = s.universe, s.mask
+    blocks: list[int] = []  # a merged block is left 0
+    into: list[int] = []
+    owner: dict[int, int] = {}
+    seen = 0
+    for x in s.members():
+        t = u.plus(mask, x) & mask
+        if not t:
+            continue
+        i, block = len(blocks), t | u.minus(t, x) | 1 << u.slot_of(x)
+        met = block & seen
+        for slot in _positions(block & ~seen):
+            owner[slot] = i
+        while met:
+            j = owner[(met & -met).bit_length() - 1]
+            while into[j] != j:
+                into[j] = j = into[into[j]]
+            met &= ~blocks[j]
+            block |= blocks[j]
+            blocks[j], into[j] = 0, i
+        blocks.append(block)
+        into.append(i)
+        seen |= block
+    return [b for b in blocks if b]
+
+
+def is_two_wise_sum_free(s: ElemSet) -> bool:
+    """True iff s splits into two disjoint sum-free parts (either may be empty).
+
+    The triples x + y = z of s link its members into blocks (_blocks), and
+    s splits iff each block does: a member in no triple joins either part.
+    The first descent of the 2-coloring of the whole set decides most sets
+    (a sum-free set fills the first part whole); past it each block is
+    2-colored on its own, so a block that fails is found without
+    recoloring the others.  One large block can still take exponential time.
+    """
+    u = s.universe
+    return _two_colour(u, s.members(), False) or all(
+        _two_colour(u, [u.value_of(i) for i in _positions(b)]) for b in _blocks(s))

@@ -3,6 +3,9 @@
 These deliberately avoid the package's optimized code paths: subsets come
 from a raw binary counter and every coloring is tried exhaustively, and
 group elements are coordinate tuples, never the package's indices or masks.
+The one exception is two_wise_backtrack, the two-wise predicate's former
+whole-set search on the universe's masks, kept as the reference for the
+split into blocks.
 """
 
 from itertools import product
@@ -86,6 +89,43 @@ def two_wise_split_walk(n: int) -> int:
     # the smallest element goes to the first part without loss of generality
     return 1 + sum(rec([(1 << v, (1 << 2 * v) & window, 0, 0)], v + 1)
                    for v in range(1, n + 1))
+
+
+def two_wise_backtrack(s) -> bool:
+    """True iff the ElemSet s splits into two sum-free parts, by one
+    backtracking 2-coloring of the whole set (members ascending), as the
+    predicate decided it before it split s into blocks.  It recolors every
+    earlier member after each failure, so keep the sets small.
+
+    Each part carries its sumset mask: v joins part p unless v is in it or
+    v + (p | {v}) meets p | {v}.
+    """
+    u = s.universe
+    elems = s.members()
+    parts, sums = [0, 0], [0, 0]
+    chosen = []  # (part, its sums before) per placed element
+    first_try = 0
+    while len(chosen) < len(elems):
+        i = len(chosen)
+        v = elems[i]
+        bit = 1 << u.slot_of(v)
+        # the first element can go into the first part without loss of generality
+        for p in range(first_try, 1 if i == 0 else 2):
+            grown = parts[p] | bit
+            new = u.plus(grown, v)
+            if not (sums[p] | new) & grown:
+                chosen.append((p, sums[p]))
+                parts[p] = grown
+                sums[p] |= new
+                first_try = 0
+                break
+        else:
+            if not chosen:
+                return False
+            p, sums[p] = chosen.pop()
+            parts[p] ^= 1 << u.slot_of(elems[len(chosen)])
+            first_try = p + 1
+    return True
 
 
 def group_count_oracle(moduli: tuple[int, ...]) -> tuple[int, int, dict[int, int]]:

@@ -96,10 +96,12 @@ def test_verify_json_report(tmp_path, capsys, values, sorted_values, code):
 @pytest.mark.parametrize("universe, message", [
     (["--interval", ",5"], "--interval ',5' has an empty item"),
     (["--interval", "1,2,3"], "--interval '1,2,3' has 3 items, expected N or LO,HI"),
-    (["--interval", "x"], "invalid literal for int()"),
+    (["--interval", "2.5"], "--interval '2.5' has a non-integer item '2.5'"),
     (["--interval", "5,4"], "need 1 <= lo <= hi, got [5, 4]"),
     (["--interval", "4", "--group", "3"], "give either --interval or --group, not both"),
     ([], "no universe given: use --interval N|LO,HI or --group M1,M2,..."),
+    (["--group", "x"], "--group 'x' has a non-integer item 'x'"),
+    (["--group", "4,y,2"], "--group '4,y,2' has a non-integer item 'y'"),
 ])
 def test_universe_flags_refuse_bad_input(capsys, universe, message):
     code, out, err = run(capsys, "count", *universe)
@@ -222,6 +224,9 @@ def test_count_two_wise_flag(capsys):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["f_2wise"] == 31
+    # the widest two-wise table a mask may be: 2^20 bits
+    code, out, _ = run(capsys, "count", "--interval", "20", "--2wise", "--format", "json")
+    assert (code, json.loads(out)["f_2wise"]) == (0, 703968)
 
 
 def test_count_two_wise_checked_before_any_walk(capsys, monkeypatch):
@@ -231,7 +236,7 @@ def test_count_two_wise_checked_before_any_walk(capsys, monkeypatch):
     def no_walk(*args, **kwargs):
         raise AssertionError("walker called although two-wise counting is refused")
 
-    # count_two_wise itself checks n against its cap before it walks
+    # count_two_wise itself checks its table's width against the mask cap before it walks
     monkeypatch.setattr(sumfree.enumeration, "_walk", no_walk)
     for name in ("_interval_walk", "_interval_maximal"):
         monkeypatch.setattr(sumfree._interval_walkers, name, no_walk)
@@ -239,9 +244,9 @@ def test_count_two_wise_checked_before_any_walk(capsys, monkeypatch):
         code, out, err = run(capsys, "count", *universe, "--2wise")
         assert code == 2 and out == ""
         assert "[1, n] universes" in err
-    code, out, err = run(capsys, "count", "--interval", "19", "--2wise")
+    code, out, err = run(capsys, "count", "--interval", "21", "--2wise")
     assert code == 3 and out == ""
-    assert "capped at n <= 18, got 19" in err
+    assert f"[1, 21]: two-wise table of 2^21 bits, cap is {DEFAULT_MAX_ORDER}" in err
 
 
 def test_sweep_intervals_golden_rows(capsys):

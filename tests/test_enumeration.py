@@ -12,6 +12,7 @@ from oracles import (
     two_wise_split_walk,
 )
 import sumfree._group_walkers
+import sumfree._interval_walkers
 import sumfree.enumeration
 from sumfree._group_walkers import _orbit_tally
 from sumfree._interval_walkers import _interval_walk
@@ -32,7 +33,7 @@ from sumfree.enumeration import (
     enumerate_sum_free,
     maximal_sets_of_size,
 )
-from sumfree.errors import CapacityError
+from sumfree.errors import DEFAULT_MAX_ORDER, CapacityError
 from sumfree.groups import abelian_groups_of_order, index2_subgroups, make_group
 from sumfree.universe import (
     ElemSet,
@@ -40,6 +41,7 @@ from sumfree.universe import (
     IntervalUniverse,
     is_maximal_sum_free,
     is_sum_free,
+    is_two_wise_sum_free,
 )
 
 
@@ -402,10 +404,34 @@ def test_count_two_wise_examples():
     assert count_two_wise(5) == 31
     for n in range(1, 5):
         assert count_two_wise(n) == 1 << n
-    with pytest.raises(CapacityError):
-        count_two_wise(19)
     with pytest.raises(ValueError, match="need n >= 1, got 0"):
         count_two_wise(0)
+
+
+def test_count_two_wise_reaches_the_mask_width(monkeypatch):
+    # the table of 2^n bits is a mask, so n runs to DEFAULT_MAX_ORDER's 2^20
+    # bits; a brute-force pass of is_two_wise_sum_free over all 2^n subsets
+    # gave both counts
+    assert DEFAULT_MAX_ORDER.bit_length() - 1 == 20
+    assert count_two_wise(19) == 375414
+    assert count_two_wise(20) == 703968
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walker called although the table is refused")
+
+    monkeypatch.setattr(sumfree._interval_walkers, "_interval_maximal", no_walk)
+    for n in (21, 10 ** 12):  # refused without building 2^n
+        with pytest.raises(CapacityError, match=rf"^\[1, {n}\]: two-wise table of 2\^{n} bits, "
+                                                 f"cap is {DEFAULT_MAX_ORDER}$"):
+            count_two_wise(n)
+
+
+def test_count_two_wise_matches_the_predicate():
+    # the table against is_two_wise_sum_free on every subset of [1, n]
+    for n in range(1, 15):
+        u = IntervalUniverse(1, n)
+        splits = sum(is_two_wise_sum_free(ElemSet(u, mask)) for mask in range(1 << n))
+        assert count_two_wise(n) == splits, n
 
 
 def test_count_two_wise_matches_oracle():
@@ -465,6 +491,32 @@ def test_sharded_count_checked_against_the_fused_count(monkeypatch):
     assert build_count_record(IntervalUniverse(1, 16), shard_count=4).f == 1955
 
 
+def test_histograms_walk_no_maximality(monkeypatch):
+    # the histogram paths neither walk the interval maximal sets nor tally a
+    # group's maximality, and an interval's maximal count runs no transfer
+    universes = [IntervalUniverse(1, 20), GroupUniverse(make_group([4, 4, 2])),
+                 GroupUniverse(make_group([37]))]
+    expected = [count_by_cardinality(u) for u in universes]
+    plain_tally = sumfree._group_walkers._orbit_tally
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walk called that the count does not need")
+
+    def tally(u, maximal):
+        assert not maximal, "maximal tally called for a histogram"
+        return plain_tally(u, maximal)
+
+    monkeypatch.setattr(sumfree._interval_walkers, "_interval_maximal", no_walk)
+    monkeypatch.setattr(sumfree._group_walkers, "_orbit_tally", tally)
+    for u, hist in zip(universes, expected):
+        assert count_by_cardinality(u) == hist, u
+        rec = build_count_record(u, with_cardinality=True)
+        assert (rec.f, rec.f_max, rec.by_cardinality) == (sum(hist.values()), None, hist), u
+    monkeypatch.undo()
+    monkeypatch.setattr(sumfree._interval_walkers, "_interval_walk", no_walk)
+    assert count_maximal(IntervalUniverse(1, 20)) == 359
+
+
 def _filtered(u):
     """(count, maximal count, histogram, maximal sets) by filtering the walk."""
     family = []
@@ -505,7 +557,7 @@ def test_orbit_tally_matches_plain_walk():
 
             f = _walk(u.forbid, visit, ground, 0, 0, 0, True)
             hist = {k: c for k, c in enumerate(hist) if c}
-            assert _tally(u) == (f, len(maximal), hist), g.moduli
+            assert _tally(u, True) == (f, len(maximal), hist), g.moduli
             # the same sets in the same, ascending lexicographic, order
             assert [s.mask for s in enumerate_maximal(u)] == maximal, g.moduli
             for size in (1, 2, 3):

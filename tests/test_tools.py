@@ -3,7 +3,16 @@ import json
 import math
 from pathlib import Path
 
+from sumfree.errors import DEFAULT_MAX_ORDER
+
 DUMP = Path(__file__).resolve().parent.parent / "tools" / "offline_dump.py"
+
+
+def _load_dump():
+    spec = importlib.util.spec_from_file_location("offline_dump", DUMP)
+    dump = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dump)
+    return dump
 
 
 def _fields(line):
@@ -11,9 +20,7 @@ def _fields(line):
 
 
 def test_offline_dump_lines():
-    spec = importlib.util.spec_from_file_location("offline_dump", DUMP)
-    dump = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(dump)
+    dump = _load_dump()
     out = list(dump.dump_lines(count_order=6, maximum_order=8, window_hi=4, prefix_hi=6,
                                two_wise_hi=5, structure_order=8))
     groups, windows, two_wise, structure = out[:10], out[10:22], out[22:27], out[27:]
@@ -60,3 +67,13 @@ def test_offline_dump_lines():
         assert len(index2) == 2 ** sum(m % 2 == 0 for m in moduli) - 1, line
         if order % 2 == 0:
             assert sorted(set(range(order)) - set(json.loads(fields["witness"]))) in index2
+
+
+def test_offline_dump_two_wise_block_runs_to_the_mask_width():
+    # by default the two-wise lines run to n = 20, the widest table of 2^n
+    # bits a mask may be; every other block is switched off here
+    lines = list(_load_dump().dump_lines(count_order=1, maximum_order=1, window_hi=0,
+                                         prefix_hi=0, structure_order=1))
+    assert DEFAULT_MAX_ORDER.bit_length() - 1 == len(lines) == 20
+    assert lines[17:] == ["[1,18] two_wise=194168", "[1,19] two_wise=375414",
+                          "[1,20] two_wise=703968"]

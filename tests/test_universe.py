@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from oracles import two_wise_backtrack
 from sumfree.enumeration import enumerate_sum_free
 from sumfree.errors import DEFAULT_MAX_ORDER, CapacityError
 from sumfree.groups import abelian_groups_of_order, make_group
@@ -9,6 +11,8 @@ from sumfree.universe import (
     ElemSet,
     GroupUniverse,
     IntervalUniverse,
+    _blocks,
+    _positions,
     count_schur_triples,
     is_a_free,
     is_difference_free,
@@ -198,3 +202,51 @@ def test_two_wise_large_sets_get_an_answer():
     assert is_two_wise_sum_free(planted)
     # [1, 5] has no 2-coloring, so no superset has one
     assert not is_two_wise_sum_free(ElemSet.from_values(u, range(1, 1201)))
+
+
+def test_two_wise_blocks_match_whole_set_backtracking():
+    rng = random.Random(31)
+    universes = [IntervalUniverse(1, n) for n in (12, 20, 30)] + [IntervalUniverse(5, 40)]
+    universes += [GroupUniverse(g) for order in (12, 16, 21, 30)
+                  for g in abelian_groups_of_order(order)]
+    for u in universes:
+        values = list(u.ground_values())
+        for _ in range(40):
+            s = ElemSet.from_values(u, rng.sample(values, rng.randint(0, min(14, len(values)))))
+            assert is_two_wise_sum_free(s) == two_wise_backtrack(s), (u.describe(), s.members())
+            # the blocks are disjoint, hold exactly the members of the triples,
+            # and each triple lies inside one of them
+            blocks = _blocks(s)
+            triples = [(x, y, z) for x in s.members() for y in s.members()
+                       for z in [u.sum_value(x, y)] if z is not None and z in s]
+            linked = {v for triple in triples for v in triple}
+            members = [[u.value_of(i) for i in _positions(b)] for b in blocks]
+            assert sum(map(len, members)) == len(linked) == len(set().union(*members))
+            for triple in triples:
+                assert any(set(triple) <= set(block) for block in members), triple
+
+
+def _late_obstruction(members):
+    # {m, 2m, 3m, 4m, 5m} has no 2-coloring (the Schur number S(2) is 4); it
+    # comes after every other member, which the triples leave independent
+    return ElemSet.from_values(IntervalUniverse(1, 5 * members[1]), members[0] + [
+        k * members[1] for k in range(1, 6)])
+
+
+def test_two_wise_late_obstruction_is_decided_by_its_block():
+    # 40 odd members below 2001 lie in no triple; the whole-set search
+    # recolored all of them after each failure (k = 18 of them took 5 s)
+    free = _late_obstruction((list(range(1001, 1081, 2)), 2001))
+    # 20 triples a + b = c, each its own block: a = 1001 + 4i, b = 3002 + 400i
+    a = [1001 + 4 * i for i in range(20)]
+    b = [3002 + 400 * i for i in range(20)]
+    triples = _late_obstruction((a + b + [x + y for x, y in zip(a, b)], 20000))
+    assert count_schur_triples(free) == 10  # the obstruction's own ordered pairs
+    assert count_schur_triples(triples) == 2 * 20 + 10
+    assert [len(_blocks(s)) for s in (free, triples)] == [1, 21]
+    for s in (free, triples):
+        start = time.perf_counter()
+        assert not is_two_wise_sum_free(s)
+        assert time.perf_counter() - start < 1.0
+        # without the obstruction's last member, every block splits
+        assert is_two_wise_sum_free(ElemSet(s.universe, s.mask ^ 1 << s.mask.bit_length() - 1))

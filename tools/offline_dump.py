@@ -4,7 +4,8 @@
 
 The sizes are the caps of the library, so each listing reaches as far
 as its call allows: 64 is MAXIMUM_CAP + 1, 41 is DEFAULT_GROUND_CAP + 1
-(a count's ground cap 40, plus the identity), 18 is TWO_WISE_CAP.
+(a count's ground cap 40, plus the identity), and 20 is the largest n
+whose two-wise table of 2^n bits is no wider than DEFAULT_MAX_ORDER.
 
 For every abelian group of order 2-64 (in the order of
 abelian_groups_of_order), one line: the moduli, then, up to order 41, the
@@ -16,7 +17,7 @@ every [lo, hi] with hi <= 24 and [1, n] for 25 <= n <= 40 (the ground
 cap of a count): the window, the same count, maximal count and
 histogram, the counts by largest element (count_by_largest) and the
 maximum sets (values), then, for hi <= 24, the maximal sets
-(enumerate_maximal, sorted).  Then one line per [1, n], n <= 18, with
+(enumerate_maximal, sorted).  Then one line per [1, n], n <= 20, with
 the two-wise count (count_two_wise).  Last, one more line per abelian
 group of order 2-64: the moduli, the witness of density_report, the
 index-2 subgroups (index2_subgroups, members ascending) and the maximal
@@ -38,7 +39,6 @@ from typing import Iterator
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sumfree.enumeration import (  # noqa: E402
-    TWO_WISE_CAP,
     build_count_record,
     count_by_largest,
     count_two_wise,
@@ -47,7 +47,7 @@ from sumfree.enumeration import (  # noqa: E402
     maximal_sets_of_size,
 )
 from sumfree.analysis import density_report  # noqa: E402
-from sumfree.errors import DEFAULT_GROUND_CAP, MAXIMUM_CAP  # noqa: E402
+from sumfree.errors import DEFAULT_GROUND_CAP, DEFAULT_MAX_ORDER, MAXIMUM_CAP  # noqa: E402
 from sumfree.groups import abelian_groups_of_order, index2_subgroups  # noqa: E402
 from sumfree.universe import ElemSet, GroupUniverse, IntervalUniverse, Universe  # noqa: E402
 
@@ -76,7 +76,8 @@ def _maximal(u: Universe) -> str:
 
 def dump_lines(count_order: int = DEFAULT_GROUND_CAP + 1,
                maximum_order: int = MAXIMUM_CAP + 1, window_hi: int = 24,
-               prefix_hi: int = DEFAULT_GROUND_CAP, two_wise_hi: int = TWO_WISE_CAP,
+               prefix_hi: int = DEFAULT_GROUND_CAP,
+               two_wise_hi: int = DEFAULT_MAX_ORDER.bit_length() - 1,
                structure_order: int = MAXIMUM_CAP + 1) -> Iterator[str]:
     """The dump's lines: group counts up to count_order, group maximum sets up
     to maximum_order, then the windows [lo, hi], hi <= window_hi, and [1, n],
