@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import re
 import sys
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -377,6 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):  # argparse takes "-2,5" for an option
+        if argv[i - 1] in ("--interval", "--group") and re.match(r"-\d", argv[i]):
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,7 +1,7 @@
 """Exception types and the size caps that more than one module reads.
 
-Each cap is checked only by what would allocate or walk for the input:
-make_group, IntervalUniverse, RandomGenConfig or an enumeration walker.
+Each cap is checked before the work it bounds: by make_group, IntervalUniverse,
+RandomGenConfig, the walkers, count_two_wise and cli.group_sweep_rows.
 """
 
 DEFAULT_MAX_ORDER = 1 << 20  # the largest group order, and the widest mask a command builds

@@ -35,7 +35,7 @@ width, where a per-bit step on a big int would rewrite it whole.
 """
 
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 
 from ._record import Record
 from .errors import DEFAULT_MAX_ORDER, CapacityError
@@ -345,22 +345,20 @@ def is_maximal_sum_free(s: ElemSet) -> bool:
     return all(u.plus(1 << i, u.value_of(i)) & mask for i in _positions(rest))
 
 
-def _two_colour(u: Universe, elems: Sequence[int], backtrack: bool = True) -> bool:
-    """True iff elems split into two sum-free parts, by backtracking
-    2-coloring on an explicit stack, so that large sets cannot exhaust the
-    recursion limit.  Each part carries its sumset mask: v joins part p
-    unless v is in it or v + (p | {v}) meets p | {v}.  Without backtrack
-    only the first descent is tried, and False means undecided.
+def _two_colour(u: Universe, block: int) -> bool:
+    """True iff the members of block (a slot mask) split into two sum-free
+    parts, by a depth-first 2-coloring on an explicit stack, so that large
+    blocks cannot exhaust the recursion limit.  Each part carries its sumset
+    mask: v joins part p unless v is in it or v + (p | {v}) meets p | {v}.
     """
+    elems = [(1 << i, u.value_of(i)) for i in _positions(block)]
     parts, sums = [0, 0], [0, 0]
     chosen: list[tuple[int, int]] = []  # (part, its sums before) per placed element
     first_try = 0
     while len(chosen) < len(elems):
-        i = len(chosen)
-        v = elems[i]
-        bit = 1 << u.slot_of(v)
+        bit, v = elems[len(chosen)]
         # the first element can go into the first part without loss of generality
-        for p in range(first_try, 1 if i == 0 else 2):
+        for p in range(first_try, 2 if chosen else 1):
             grown = parts[p] | bit
             new = u.plus(grown, v)
             if not (sums[p] | new) & grown:
@@ -370,10 +368,10 @@ def _two_colour(u: Universe, elems: Sequence[int], backtrack: bool = True) -> bo
                 first_try = 0
                 break
         else:
-            if not chosen or not backtrack:
+            if not chosen:
                 return False
             p, sums[p] = chosen.pop()
-            parts[p] ^= 1 << u.slot_of(elems[len(chosen)])
+            parts[p] ^= elems[len(chosen)][0]
             first_try = p + 1
     return True
 
@@ -382,10 +380,11 @@ def _blocks(s: ElemSet) -> list[int]:
     """The slot masks of the blocks of s, its members linked by triples
     x + y = z of s; a member in no triple lies in none.
 
-    The triples with summand x lie in x | t | t - x, t = (s + x) & s, one
-    block, merged with the blocks it meets.  owner maps a slot to the
-    block it joined first, and into a merged block to the one that took
-    it, so each slot and each merge is handled once.
+    x joins t = (s + x) & s, the sums it makes in s, as one block, merged
+    with the blocks it meets.  Both summands of x + y = z meet z, so each
+    triple ends in one block.  owner maps a slot to the block it joined
+    first, and into a merged block to the one that took it, so each slot
+    and each merge is handled once.
     """
     u, mask = s.universe, s.mask
     blocks: list[int] = []  # a merged block is left 0
@@ -396,7 +395,7 @@ def _blocks(s: ElemSet) -> list[int]:
         t = u.plus(mask, x) & mask
         if not t:
             continue
-        i, block = len(blocks), t | u.minus(t, x) | 1 << u.slot_of(x)
+        i, block = len(blocks), t | 1 << u.slot_of(x)
         met = block & seen
         for slot in _positions(block & ~seen):
             owner[slot] = i
@@ -417,12 +416,8 @@ def is_two_wise_sum_free(s: ElemSet) -> bool:
     """True iff s splits into two disjoint sum-free parts (either may be empty).
 
     The triples x + y = z of s link its members into blocks (_blocks), and
-    s splits iff each block does: a member in no triple joins either part.
-    The first descent of the 2-coloring of the whole set decides most sets
-    (a sum-free set fills the first part whole); past it each block is
-    2-colored on its own, so a block that fails is found without
+    s splits iff each block does, so each is 2-colored on its own: a member
+    in no triple costs nothing, and a block that fails is found without
     recoloring the others.  One large block can still take exponential time.
     """
-    u = s.universe
-    return _two_colour(u, s.members(), False) or all(
-        _two_colour(u, [u.value_of(i) for i in _positions(b)]) for b in _blocks(s))
+    return all(_two_colour(s.universe, b) for b in _blocks(s))

@@ -102,6 +102,9 @@ def test_verify_json_report(tmp_path, capsys, values, sorted_values, code):
     ([], "no universe given: use --interval N|LO,HI or --group M1,M2,..."),
     (["--group", "x"], "--group 'x' has a non-integer item 'x'"),
     (["--group", "4,y,2"], "--group '4,y,2' has a non-integer item 'y'"),
+    # a negative first item is a value, not an option, when written apart from its flag
+    (["--interval", "-2,5"], "need 1 <= lo <= hi, got [-2, 5]"),
+    (["--group", "-3,4"], "invalid modulus -3: must be an integer >= 2"),
 ])
 def test_universe_flags_refuse_bad_input(capsys, universe, message):
     code, out, err = run(capsys, "count", *universe)

@@ -206,11 +206,14 @@ def test_two_wise_large_sets_get_an_answer():
 
 def test_two_wise_blocks_match_whole_set_backtracking():
     rng = random.Random(31)
-    universes = [IntervalUniverse(1, n) for n in (12, 20, 30)] + [IntervalUniverse(5, 40)]
+    universes = [IntervalUniverse(1, n) for n in (12, 20, 30)]
+    universes += [IntervalUniverse(5, 40), IntervalUniverse(30, 90)]
     universes += [GroupUniverse(g) for order in (12, 16, 21, 30)
                   for g in abelian_groups_of_order(order)]
     for u in universes:
         values = list(u.ground_values())
+        if isinstance(u, GroupUniverse):
+            values.append(0)  # a group set may hold the identity, which no part can
         for _ in range(40):
             s = ElemSet.from_values(u, rng.sample(values, rng.randint(0, min(14, len(values)))))
             assert is_two_wise_sum_free(s) == two_wise_backtrack(s), (u.describe(), s.members())
@@ -233,14 +236,19 @@ def _late_obstruction(members):
         k * members[1] for k in range(1, 6)])
 
 
-def test_two_wise_late_obstruction_is_decided_by_its_block():
-    # 40 odd members below 2001 lie in no triple; the whole-set search
-    # recolored all of them after each failure (k = 18 of them took 5 s)
+def _late_obstruction_sets():
+    # 40 odd members below 2001 lie in no triple
     free = _late_obstruction((list(range(1001, 1081, 2)), 2001))
     # 20 triples a + b = c, each its own block: a = 1001 + 4i, b = 3002 + 400i
     a = [1001 + 4 * i for i in range(20)]
     b = [3002 + 400 * i for i in range(20)]
-    triples = _late_obstruction((a + b + [x + y for x, y in zip(a, b)], 20000))
+    return free, _late_obstruction((a + b + [x + y for x, y in zip(a, b)], 20000))
+
+
+def test_two_wise_late_obstruction_is_decided_by_its_block():
+    # a whole-set search recolors every free member after each failure
+    # (k = 18 of them took 5 s)
+    free, triples = _late_obstruction_sets()
     assert count_schur_triples(free) == 10  # the obstruction's own ordered pairs
     assert count_schur_triples(triples) == 2 * 20 + 10
     assert [len(_blocks(s)) for s in (free, triples)] == [1, 21]
@@ -250,3 +258,22 @@ def test_two_wise_late_obstruction_is_decided_by_its_block():
         assert time.perf_counter() - start < 1.0
         # without the obstruction's last member, every block splits
         assert is_two_wise_sum_free(ElemSet(s.universe, s.mask ^ 1 << s.mask.bit_length() - 1))
+
+
+def test_two_wise_translates_each_member_once_and_never_back(monkeypatch):
+    # one path: _blocks makes one plus per member, only the blocks are
+    # 2-colored, and nothing translates a set by -x
+    odds = ElemSet.from_values(IntervalUniverse(1, 2200), range(1, 2201, 2))
+    late = _late_obstruction_sets()
+    calls = {"plus": 0, "minus": 0}
+    for cls in (IntervalUniverse, GroupUniverse):
+        for name in calls:
+            def counted(self, mask, x, _name=name, _orig=getattr(cls, name)):
+                calls[_name] += 1
+                return _orig(self, mask, x)
+            monkeypatch.setattr(cls, name, counted)
+    assert is_two_wise_sum_free(odds)
+    assert calls == {"plus": len(odds), "minus": 0}
+    for s in late:
+        assert not is_two_wise_sum_free(s)
+        assert calls["minus"] == 0
