@@ -34,8 +34,8 @@ _EXPORTS = {
         "find_dilator", "find_prime", "random_sum_free", "residue_weights",
     ),
     "groups": (
-        "GroupSpec", "Subgroup", "abelian_groups_of_order",
-        "generated_subgroup", "index2_subgroups", "make_group",
+        "GroupSpec", "Subgroup", "abelian_groups_of_order", "generated_subgroup",
+        "index2_subgroups",
     ),
     "universe": (
         "ElemSet", "GroupUniverse", "IntervalUniverse", "Universe", "count_schur_triples",

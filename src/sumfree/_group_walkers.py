@@ -63,7 +63,7 @@ def _orbit_tally(u: GroupUniverse, maximal: bool) -> list[int]:
     group, forbid, ground = u.group, u.forbid, u.ground_mask
 
     def root(prefix: tuple[int, ...], s: int, gens: Sequence[tuple[int, ...]], f: int,
-             left: int, steps: list[int], stride: int, tally: list[int] | dict[int, int]) -> None:
+             left: int, steps: list[int], stride: int, tally: dict[int, int]) -> None:
         for block in _orbits(gens, _positions(left & ~f)):
             q, size, width = block[0], len(block), min(len(block), group.order // 2) + 1
             if size == 1 or 2 * group.order * stride * width > 1 << (left & ~f).bit_count():
@@ -85,9 +85,9 @@ def _orbit_tally(u: GroupUniverse, maximal: bool) -> list[int]:
         _walk(forbid, None, left, s, f, 0, counts=tally, steps=steps,
               cell=sum(steps[y] for y in prefix), stride=maximal and stride, whole=ground)
 
-    out = [0] * (2 * group.order)
+    out: defaultdict[int, int] = defaultdict(int)
     root((), 0, group.automorphisms, 0, ground, [2] * group.order, 1, out)
-    return out
+    return [out[i] for i in range(2 * group.order)]
 
 
 def _group_maximal(u: GroupUniverse, size: Optional[int] = None) -> list[ElemSet]:

@@ -46,3 +46,11 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
 
     __delattr__ = __setattr__
+
+
+def require_ints(record: Record, *names: str) -> None:
+    """Refuse (ValueError) each named field that is not an int: a float or a
+    bool passes the range checks and fails later, in a shift or a range."""
+    for name in names:
+        if type(getattr(record, name)) is not int:
+            raise ValueError(f"{name} must be an integer, got {getattr(record, name)!r}")

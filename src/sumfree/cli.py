@@ -60,9 +60,9 @@ def _universe_from_args(args):
         except ValueError:
             raise ValueError(f"{flag} {text!r} has a non-integer item {x!r}") from None
     if flag == "--group":
-        from .groups import make_group
+        from .groups import GroupSpec
 
-        return GroupUniverse(make_group(values))
+        return GroupUniverse(GroupSpec(tuple(values)))
     if len(values) > 2:
         raise ValueError(f"--interval {text!r} has {len(values)} items, expected N or LO,HI")
     return IntervalUniverse(*values) if len(values) == 2 else IntervalUniverse(1, *values)

@@ -5,7 +5,7 @@ floating point: boundary elements change sum-freeness.
 """
 
 from .arith import is_prime
-from .groups import Subgroup, make_group
+from .groups import GroupSpec, Subgroup
 from .universe import ElemSet, GroupUniverse, IntervalUniverse, is_sum_free
 
 
@@ -38,7 +38,7 @@ def middle_third(n: int) -> ElemSet:
     """Residues x of Z_n with n/3 < x <= 2n/3; always sum-free."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    u = GroupUniverse(make_group([n]))
+    u = GroupUniverse(GroupSpec((n,)))
     return ElemSet.from_values(u, range(n // 3 + 1, 2 * n // 3 + 1))
 
 
@@ -52,7 +52,7 @@ def outer_bands(n: int) -> ElemSet:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    u = GroupUniverse(make_group([n]))
+    u = GroupUniverse(GroupSpec((n,)))
     return ElemSet.from_values(
         u, [*range(n // 6 + 1, n // 3 + 1), *range(2 * n // 3 + 1, n)]
     )

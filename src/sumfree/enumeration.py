@@ -64,7 +64,7 @@ def _require_ground(u: Universe, cap: int) -> None:
 def _walk(forbid: Callable[[int, int, int], int],
           visit: Optional[Callable[[int, Optional[int]], Optional[bool]]],
           ground: int, s: int, f: int, min_slot: int, masks: bool = False,
-          counts: Optional[list[int]] = None, steps: Sequence[int] = (), cell: int = 0,
+          counts: Optional[dict[int, int]] = None, steps: Sequence[int] = (), cell: int = 0,
           stride: int = 0, whole: int = 0) -> int:
     """Count the sets below s inside ground, one node per set, stepping by
     forbid (a universe's); visit(s, forbidden) at each, or else add 1 to

@@ -1,6 +1,6 @@
 """Exception types and the size caps that more than one module reads.
 
-Each cap is checked before the work it bounds: by make_group, IntervalUniverse,
+Each cap is checked before the work it bounds: by GroupSpec, IntervalUniverse,
 RandomGenConfig, the walkers, count_two_wise and cli.group_sweep_rows.
 """
 

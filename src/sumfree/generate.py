@@ -15,7 +15,7 @@ import math
 from itertools import count, pairwise
 from typing import Iterable, Optional, Sequence
 
-from ._record import Record
+from ._record import Record, require_ints
 from .arith import is_prime
 from .errors import DEFAULT_MAX_ORDER, CapacityError, GenerationTimeout
 from .universe import ElemSet, IntervalUniverse
@@ -31,6 +31,7 @@ class RandomGenConfig(Record):
     are drawn uniformly from [1, sample_hi], and max_iterations bounds the
     number of loop passes before giving up with GenerationTimeout (the
     generator gives up at once if its set becomes maximal sum-free).
+    Those four are ints; rng_seed is anything random.Random takes.
     """
 
     seed_element: int
@@ -40,6 +41,9 @@ class RandomGenConfig(Record):
     rng_seed: int = 0
 
     def __post_init__(self):
+        require_ints(self, "seed_element", "target_cardinality", "sample_hi", "max_iterations")
+        if self.sample_hi < 1:
+            raise ValueError(f"random range [1, {self.sample_hi}] is empty")
         if self.sample_hi > DEFAULT_MAX_ORDER:  # every draw builds a mask this wide
             raise CapacityError(f"random range [1,{self.sample_hi}] has {self.sample_hi} "
                                 f"elements, cap is {DEFAULT_MAX_ORDER}")

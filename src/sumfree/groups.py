@@ -20,9 +20,20 @@ from .universe import _positions, _rotate
 
 
 class GroupSpec(Record):
-    """A finite abelian group Z_m1 x Z_m2 x ... under componentwise addition."""
+    """A finite abelian group Z_m1 x Z_m2 x ... under componentwise addition;
+    construction refuses moduli other than a tuple of integers >= 2, and an
+    order above DEFAULT_MAX_ORDER (CapacityError)."""
 
     moduli: tuple[int, ...]
+
+    def __post_init__(self):
+        if type(self.moduli) is not tuple:
+            raise ValueError(f"moduli must be a tuple, got {self.moduli!r}")
+        for m in self.moduli:
+            if type(m) is not int or m < 2:  # no bools
+                raise ValueError(f"invalid modulus {m!r}: must be an integer >= 2")
+        if self.order > DEFAULT_MAX_ORDER:
+            raise CapacityError(f"group order {self.order} exceeds cap {DEFAULT_MAX_ORDER}")
 
     @cached_property
     def order(self) -> int:
@@ -217,18 +228,6 @@ def _orbit_partition(images: Callable[[_T], Iterable[_T]],
         out.append(tuple(sorted(orbit)))
     out.sort(key=len, reverse=True)
     return tuple(out)
-
-
-def make_group(moduli: Iterable[int]) -> GroupSpec:
-    """Build a GroupSpec, validating moduli and the order cap."""
-    mods = tuple(moduli)
-    for m in mods:
-        if not isinstance(m, int) or m < 2:
-            raise ValueError(f"invalid modulus {m!r}: must be an integer >= 2")
-    order = math.prod(mods)
-    if order > DEFAULT_MAX_ORDER:
-        raise CapacityError(f"group order {order} exceeds cap {DEFAULT_MAX_ORDER}")
-    return GroupSpec(mods)
 
 
 class Subgroup(Record):

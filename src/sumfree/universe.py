@@ -37,7 +37,7 @@ width, where a per-bit step on a big int would rewrite it whole.
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 
-from ._record import Record
+from ._record import Record, require_ints
 from .errors import DEFAULT_MAX_ORDER, CapacityError
 
 if TYPE_CHECKING:
@@ -86,6 +86,7 @@ class IntervalUniverse(Record):
     hi: int
 
     def __post_init__(self):
+        require_ints(self, "lo", "hi")
         if not 1 <= self.lo <= self.hi:
             raise ValueError(f"need 1 <= lo <= hi, got [{self.lo}, {self.hi}]")
         if self.ground_size > DEFAULT_MAX_ORDER:  # every set of it builds a mask this wide

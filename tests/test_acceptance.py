@@ -28,7 +28,7 @@ from sumfree.enumeration import (
     enumerate_sum_free,
 )
 from sumfree.generate import extract_sum_free
-from sumfree.groups import abelian_groups_of_order, index2_subgroups, make_group
+from sumfree.groups import GroupSpec, abelian_groups_of_order, index2_subgroups
 from sumfree.universe import GroupUniverse, IntervalUniverse, is_sum_free
 
 EXTRA_MAXIMUM_SETS = {
@@ -119,7 +119,7 @@ def test_04_density_sweep():
                 disagreements.append((g.moduli, rep.mu, rep.v))
             if not Fraction(2, 7) <= rep.mu <= Fraction(1, 2):
                 out_of_range.append((g.moduli, rep.mu))
-    c7 = density_report(make_group([7]))
+    c7 = density_report(GroupSpec((7,)))
     elapsed = time.monotonic() - t0
     ok = (not disagreements and not out_of_range
           and c7.mu == Fraction(2, 7) and elapsed < 120)

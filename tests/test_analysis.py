@@ -17,16 +17,16 @@ from sumfree.analysis import (
 from sumfree.construct import odds
 from sumfree.enumeration import enumerate_sum_free
 from sumfree.errors import CapacityError
-from sumfree.groups import abelian_groups_of_order, make_group
+from sumfree.groups import GroupSpec, abelian_groups_of_order
 from sumfree.universe import ElemSet, GroupUniverse, IntervalUniverse, is_maximal_sum_free
 
 
 def test_density_formula_examples():
-    assert density_formula(make_group([2])) == (Fraction(1, 2), 1)
-    assert density_formula(make_group([9])) == (Fraction(1, 3), 2)
-    assert density_formula(make_group([7])) == (Fraction(2, 7), 3)
+    assert density_formula(GroupSpec((2,))) == (Fraction(1, 2), 1)
+    assert density_formula(GroupSpec((9,))) == (Fraction(1, 3), 2)
+    assert density_formula(GroupSpec((7,))) == (Fraction(2, 7), 3)
     with pytest.raises(ValueError):
-        density_formula(make_group([]))
+        density_formula(GroupSpec(()))
 
 
 def test_density_formula_times_order_is_integer():
@@ -39,12 +39,12 @@ def test_density_formula_times_order_is_integer():
 
 
 def test_density_report_examples():
-    rep = density_report(make_group([5]))
+    rep = density_report(GroupSpec((5,)))
     assert rep.mu == Fraction(2, 5) and rep.witness.members() == (1, 4)
     assert rep.agree
-    rep = density_report(make_group([4]))
+    rep = density_report(GroupSpec((4,)))
     assert rep.mu == Fraction(1, 2) and rep.witness.members() == (1, 3)
-    rep = density_report(make_group([7]))
+    rep = density_report(GroupSpec((7,)))
     assert rep.mu == Fraction(2, 7)
 
 
@@ -58,16 +58,16 @@ def test_mu_matches_formula_small_orders():
 
 
 def test_index2_structure_examples():
-    assert verify_index2_structure(make_group([4])) is True
-    assert verify_index2_structure(make_group([2, 2])) is True
-    assert verify_index2_structure(make_group([6])) is True
-    assert verify_index2_structure(make_group([9])) is None
+    assert verify_index2_structure(GroupSpec((4,))) is True
+    assert verify_index2_structure(GroupSpec((2, 2))) is True
+    assert verify_index2_structure(GroupSpec((6,))) is True
+    assert verify_index2_structure(GroupSpec((9,))) is None
 
 
 def test_coset_floor_examples():
-    assert coset_floor_check(make_group([6]))
-    assert coset_floor_check(make_group([9]))
-    assert coset_floor_check(make_group([5]))
+    assert coset_floor_check(GroupSpec((6,)))
+    assert coset_floor_check(GroupSpec((9,)))
+    assert coset_floor_check(GroupSpec((5,)))
     with pytest.raises(ValueError, match="nontrivial"):
         coset_floor_check(abelian_groups_of_order(1)[0])
 
@@ -139,7 +139,7 @@ def test_decomposition_ratio_example():
 
 @pytest.mark.parametrize("check, arg, message", [
     (weighted_density_check, 1, "need n >= 2, got 1"),
-    (structure_verdict, ElemSet.from_values(GroupUniverse(make_group([5])), [1, 4]),
+    (structure_verdict, ElemSet.from_values(GroupUniverse(GroupSpec((5,))), [1, 4]),
      "structure law applies to integer interval sets"),
     (decomposition_ratio, 0, "need n >= 1, got 0"),
 ])
@@ -153,9 +153,9 @@ def test_singleton_scan():
     assert [g.moduli for g, _ in hits] == [(2,), (3,), (4,)]
     by_moduli = {g.moduli: wits for g, wits in hits}
     assert list(by_moduli[(4,)]) == [2]
-    c4 = make_group([4])
+    c4 = GroupSpec((4,))
     assert c4.element_order(by_moduli[(4,)][0]) == 2
-    c3 = make_group([3])
+    c3 = GroupSpec((3,))
     assert set(by_moduli[(3,)]) == {1, 2}
     assert all(c3.element_order(w) == 3 for w in by_moduli[(3,)])
 
@@ -187,11 +187,11 @@ def test_scans_match_the_predicate_on_every_singleton_and_pair():
 
 
 def test_leading_term_examples():
-    leading, ratio = even_order_leading_term(make_group([2, 2]))
+    leading, ratio = even_order_leading_term(GroupSpec((2, 2)))
     assert leading == 12 and ratio == Fraction(7, 12)
-    leading, ratio = even_order_leading_term(make_group([4]))
+    leading, ratio = even_order_leading_term(GroupSpec((4,)))
     assert leading == 4 and ratio == Fraction(5, 4)
-    leading, ratio = even_order_leading_term(make_group([2]))
+    leading, ratio = even_order_leading_term(GroupSpec((2,)))
     assert leading == 2 and ratio == 1
     with pytest.raises(ValueError):
-        even_order_leading_term(make_group([9]))
+        even_order_leading_term(GroupSpec((9,)))

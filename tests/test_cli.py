@@ -487,6 +487,14 @@ def test_random_timeout_exit_code(capsys):
     assert "in 5 passes (reached 1)" in err
 
 
+def test_random_names_an_empty_range(capsys):
+    # the range is at fault, not the seed element that falls outside it
+    for hi in ("0", "-5"):
+        code, out, err = run(capsys, "random", "--seed-element", "1", "--target", "1",
+                             "--range", hi)
+        assert (code, out) == (2, "") and f"random range [1, {hi}] is empty" in err
+
+
 def test_random_target_checked_before_any_draw(capsys, monkeypatch):
     import sumfree.generate
 

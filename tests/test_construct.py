@@ -14,7 +14,7 @@ from sumfree.construct import (
     periodic_residues,
 )
 from sumfree.enumeration import enumerate_sum_free
-from sumfree.groups import abelian_groups_of_order, generated_subgroup, make_group
+from sumfree.groups import GroupSpec, abelian_groups_of_order, generated_subgroup
 from sumfree.universe import ElemSet, GroupUniverse, is_sum_free
 
 
@@ -69,17 +69,17 @@ def test_outer_bands_examples():
 
 
 def test_coset_examples():
-    z6 = make_group([6])
+    z6 = GroupSpec((6,))
     h = generated_subgroup(z6, [2])
     c = coset(h, 1)
     assert c.members() == (1, 3, 5)
-    z4 = make_group([4])
+    z4 = GroupSpec((4,))
     h4 = generated_subgroup(z4, [2])
     assert coset(h4, 1).members() == (1, 3)
 
 
 def test_coset_errors_and_properties():
-    z6 = make_group([6])
+    z6 = GroupSpec((6,))
     h = generated_subgroup(z6, [2])
     with pytest.raises(ValueError):
         coset(h, 4)  # member of h
@@ -134,7 +134,7 @@ def test_periodic_residues_examples():
 
 
 def test_lift_residues_examples():
-    z5 = GroupUniverse(make_group([5]))
+    z5 = GroupUniverse(GroupSpec((5,)))
     a = ElemSet.from_values(z5, [1, 4])
     assert lift_residues(a, 10).members() == (1, 4, 6, 9)
     b = ElemSet.from_values(z5, [2, 3])
@@ -149,9 +149,9 @@ def test_lift_residues_examples():
     (middle_third, (1,), "need n >= 2, got 1"),
     (outer_bands, (1,), "need n >= 2, got 1"),
     (periodic_residues, (1, 3, 0), "need window_hi >= 1, got 0"),
-    (lift_residues, (ElemSet.from_values(GroupUniverse(make_group([2, 2])), [1]), 5),
+    (lift_residues, (ElemSet.from_values(GroupUniverse(GroupSpec((2, 2))), [1]), 5),
      "base set must live in a cyclic group universe Z_n"),
-    (lift_residues, (ElemSet.from_values(GroupUniverse(make_group([5])), [1, 4]), 0),
+    (lift_residues, (ElemSet.from_values(GroupUniverse(GroupSpec((5,))), [1, 4]), 0),
      "need window_hi >= 1, got 0"),
 ])
 def test_constructions_check_their_input(construction, args, message):
@@ -162,7 +162,7 @@ def test_constructions_check_their_input(construction, args, message):
 def test_lift_residues_always_sum_free():
     rng = random.Random(17)
     for n in range(2, 25):
-        zn = GroupUniverse(make_group([n]))
+        zn = GroupUniverse(GroupSpec((n,)))
         family = []
         enumerate_sum_free(zn, family.append)
         for _ in range(6):

@@ -34,7 +34,7 @@ from sumfree.enumeration import (
     maximal_sets_of_size,
 )
 from sumfree.errors import DEFAULT_MAX_ORDER, CapacityError
-from sumfree.groups import abelian_groups_of_order, index2_subgroups, make_group
+from sumfree.groups import GroupSpec, abelian_groups_of_order, index2_subgroups
 from sumfree.universe import (
     ElemSet,
     GroupUniverse,
@@ -53,12 +53,12 @@ def test_naive_examples():
         (), (1,), (2,), (3,), (1, 3), (2, 3),
     }
     assert enumerate_naive(IntervalUniverse(1, 1)) == 2
-    z4 = GroupUniverse(make_group([4]))
+    z4 = GroupUniverse(GroupSpec((4,)))
     got = []
     assert enumerate_naive(z4, got.append) == 5
     assert {s.members() for s in got} == {(), (1,), (2,), (3,), (1, 3)}
     # the oracle steps through the ground's subset masks in ascending order
-    for u in (IntervalUniverse(3, 14), GroupUniverse(make_group([4, 2]))):
+    for u in (IntervalUniverse(3, 14), GroupUniverse(GroupSpec((4, 2)))):
         naive, walked = [], []
         enumerate_naive(u, lambda s: naive.append(s.mask))
         enumerate_sum_free(u, lambda s: walked.append(s.mask))
@@ -73,8 +73,8 @@ def test_naive_cap():
 def test_count_examples():
     assert count_sum_free(IntervalUniverse(1, 4)) == 9
     assert count_sum_free(IntervalUniverse(1, 3)) == 6
-    assert count_sum_free(GroupUniverse(make_group([2, 2]))) == 7
-    assert count_sum_free(GroupUniverse(make_group([]))) == 1
+    assert count_sum_free(GroupUniverse(GroupSpec((2, 2)))) == 7
+    assert count_sum_free(GroupUniverse(GroupSpec(()))) == 1
 
 
 def test_count_matches_naive_small():
@@ -113,8 +113,8 @@ def test_sharding():
         IntervalUniverse(1, 12),
         IntervalUniverse(1, 20),
         IntervalUniverse(3, 17),
-        GroupUniverse(make_group([4, 3])),
-        GroupUniverse(make_group([2])),
+        GroupUniverse(GroupSpec((4, 3))),
+        GroupUniverse(GroupSpec((2,))),
     ):
         total = count_sum_free(u)
         for k in (1, 2, 4, 8):
@@ -155,7 +155,7 @@ def test_enumerate_maximum_examples():
     assert got == {(1, 3), (2, 3), (3, 4), (1, 4)}
     got = {s.members() for s in enumerate_maximum(IntervalUniverse(1, 6))}
     assert got == {(1, 3, 5), (3, 4, 5), (4, 5, 6), (2, 5, 6), (1, 4, 6)}
-    got = enumerate_maximum(GroupUniverse(make_group([4])))
+    got = enumerate_maximum(GroupUniverse(GroupSpec((4,))))
     assert [s.members() for s in got] == [(1, 3)]
 
 
@@ -186,7 +186,7 @@ def test_enumerate_maximum_order_64_is_the_index2_cosets():
         cosets = {frozenset(range(64)) - set(h.members()) for h in index2_subgroups(g)}
         assert len(got) == len(cosets) and set(got) == cosets, g.moduli
     with pytest.raises(CapacityError):
-        enumerate_maximum(GroupUniverse(make_group([5, 13])))
+        enumerate_maximum(GroupUniverse(GroupSpec((5, 13))))
 
 
 def test_maximum_witness_is_the_first_maximum_set():
@@ -279,19 +279,19 @@ def test_maximal_sets_of_size_refuses_intervals():
     # differences and halves the maximality test reads
     with pytest.raises(TypeError, match="needs a group universe"):
         maximal_sets_of_size(IntervalUniverse(1, 5), 2)
-    got = [s.members() for s in maximal_sets_of_size(GroupUniverse(make_group([5])), 2)]
+    got = [s.members() for s in maximal_sets_of_size(GroupUniverse(GroupSpec((5,))), 2)]
     assert got == [(1, 4), (2, 3)]
 
 
 def test_maximal_sets_of_size_bounds_its_input():
     with pytest.raises(ValueError, match="size must be >= 0"):
-        maximal_sets_of_size(GroupUniverse(make_group([29])), -1)
+        maximal_sets_of_size(GroupUniverse(GroupSpec((29,))), -1)
     # past order // 2 (A and A + a are disjoint), or past the cover bound at
     # the root, no walk runs: at once even on order 64
     for moduli, size in (([5], 3), ([64], 33), ([2] * 6, 40), ([64], 3), ([2] * 6, 3)):
-        u = GroupUniverse(make_group(moduli))
+        u = GroupUniverse(GroupSpec(tuple(moduli)))
         assert maximal_sets_of_size(u, size) == [], (moduli, size)
-    assert [s.members() for s in maximal_sets_of_size(GroupUniverse(make_group([])), 0)] == [()]
+    assert [s.members() for s in maximal_sets_of_size(GroupUniverse(GroupSpec(())), 0)] == [()]
 
 
 def test_maximal_scan_refuses_exactly_the_groups_past_its_cover_bound():
@@ -373,8 +373,8 @@ def test_enumerate_maximal_examples():
 def test_maximal_sets_verify_and_contain_maximum():
     for u in (
         IntervalUniverse(1, 12),
-        GroupUniverse(make_group([12])),
-        GroupUniverse(make_group([2, 2, 3])),
+        GroupUniverse(GroupSpec((12,))),
+        GroupUniverse(GroupSpec((2, 2, 3))),
     ):
         maximal = enumerate_maximal(u)
         assert all(is_maximal_sum_free(s) for s in maximal)
@@ -389,7 +389,7 @@ def test_maximal_sets_verify_and_contain_maximum():
 
 
 def test_count_by_cardinality_examples():
-    assert count_by_cardinality(GroupUniverse(make_group([4]))) == {0: 1, 1: 3, 2: 1}
+    assert count_by_cardinality(GroupUniverse(GroupSpec((4,)))) == {0: 1, 1: 3, 2: 1}
     assert count_by_cardinality(IntervalUniverse(1, 3)) == {0: 1, 1: 3, 2: 2}
     assert count_by_cardinality(IntervalUniverse(1, 1)) == {0: 1, 1: 1}
     for n in (6, 9, 13):
@@ -472,7 +472,7 @@ def test_build_count_record():
     rec3 = build_count_record(IntervalUniverse(1, 4), with_maximal=True, shard_count=4)
     assert (rec3.f, rec3.f_max, rec3.shard_count) == (9, 4, 4)
     with pytest.raises(ValueError):
-        build_count_record(GroupUniverse(make_group([5])), with_two_wise=True)
+        build_count_record(GroupUniverse(GroupSpec((5,))), with_two_wise=True)
     with pytest.raises(ValueError):
         build_count_record(IntervalUniverse(1, 4), shard_count=0)
 
@@ -494,8 +494,8 @@ def test_sharded_count_checked_against_the_fused_count(monkeypatch):
 def test_histograms_walk_no_maximality(monkeypatch):
     # the histogram paths neither walk the interval maximal sets nor tally a
     # group's maximality, and an interval's maximal count runs no transfer
-    universes = [IntervalUniverse(1, 20), GroupUniverse(make_group([4, 4, 2])),
-                 GroupUniverse(make_group([37]))]
+    universes = [IntervalUniverse(1, 20), GroupUniverse(GroupSpec((4, 4, 2))),
+                 GroupUniverse(GroupSpec((37,)))]
     expected = [count_by_cardinality(u) for u in universes]
     plain_tally = sumfree._group_walkers._orbit_tally
 
@@ -568,7 +568,7 @@ def test_orbit_tally_matches_plain_walk():
 def test_orbit_tally_files_the_empty_set_of_the_trivial_group():
     # the empty set is the only sum-free set of the trivial group, and it
     # is maximal there: entry 2k + x, with x = 0 unless maximality is asked
-    u = GroupUniverse(make_group([]))
+    u = GroupUniverse(GroupSpec(()))
     assert _orbit_tally(u, False) == [1, 0]
     assert _orbit_tally(u, True) == [0, 1]
 
@@ -583,7 +583,7 @@ def test_orbit_tally_checks_each_division(monkeypatch):
         ([4, 4], r"\(4, 4\): 1 sum-free sets hold \(1, 4\) and 3 of the 8 elements of its "
                  r"block: 8 \* 1 is not a multiple of 3"),
     ):
-        g = make_group(moduli)
+        g = GroupSpec(tuple(moduli))
 
         def split(gens, elements):
             blocks = orbits(gens, elements)
@@ -604,7 +604,7 @@ def test_orbit_tally_is_exact_on_any_stabiliser_subgroup(monkeypatch):
     # every level, against one uncut _walk
     stabiliser = sumfree._group_walkers._stabiliser
     for moduli in ([2, 2, 2, 2], [4, 2, 2], [3, 3], [4, 4]):
-        u = GroupUniverse(make_group(moduli))
+        u = GroupUniverse(GroupSpec(tuple(moduli)))
         ground = u.ground_mask
         plain = [0] * (2 * u.group.order)
 
@@ -631,7 +631,7 @@ def test_orbit_tally_memory_is_bounded():
     # a rooting step holds only the cells its sets reach: as dense lists,
     # the index spaces of Z_8 x Z_2 x Z_2's nested steps pass 512 KB
     for moduli, f in (([4, 4, 2], 509826), ([8, 2, 2], 531234)):
-        u = GroupUniverse(make_group(moduli))
+        u = GroupUniverse(GroupSpec(tuple(moduli)))
         tracemalloc.start()
         try:
             tally = _orbit_tally(u, False)
@@ -710,7 +710,7 @@ def test_sharded_sweep_matches_unsharded():
     with pytest.raises(CapacityError):
         count_by_largest(IntervalUniverse(1, 41))
     with pytest.raises(TypeError, match=r"interval universe, got group\[5\]"):
-        count_by_largest(GroupUniverse(make_group([5])))
+        count_by_largest(GroupUniverse(GroupSpec((5,))))
 
 
 def test_root_count_grows_with_the_ground():

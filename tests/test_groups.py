@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import index2_kernel_oracle
 from sumfree._group_walkers import _orbits, _stabiliser
@@ -13,39 +15,66 @@ from sumfree.groups import (
     abelian_groups_of_order,
     generated_subgroup,
     index2_subgroups,
-    make_group,
 )
 
 
-def test_make_group_examples():
-    g = make_group([6])
+def test_group_spec_examples():
+    g = GroupSpec((6,))
     assert g.order == 6 and g.decomposition == (2, 3)
-    g = make_group([2, 4])
+    g = GroupSpec((2, 4))
     assert g.order == 8 and g.decomposition == (2, 4)
-    g = make_group([])
+    g = GroupSpec(())
     assert g.order == 1 and g.decomposition == ()
 
 
-def test_make_group_errors():
+def test_group_spec_errors():
     with pytest.raises(ValueError):
-        make_group([1])
+        GroupSpec((1,))
     with pytest.raises(ValueError):
-        make_group([3, 0])
+        GroupSpec((3, 0))
     with pytest.raises(CapacityError):
-        make_group([2] * 21)  # order 2^21 over the default 2^20 cap
+        GroupSpec((2,) * 21)  # order 2^21 over the default 2^20 cap
 
 
-def test_make_group_rejects_non_integer_moduli():
+def test_group_spec_rejects_non_integer_moduli():
     with pytest.raises(ValueError, match="must be an integer"):
-        make_group([4.7])  # not truncated to Z_4
+        GroupSpec((4.7,))  # not truncated to Z_4
     with pytest.raises(ValueError, match="must be an integer"):
-        make_group(["3"])  # not parsed
+        GroupSpec(("3",))  # not parsed
+
+
+@pytest.mark.parametrize("moduli", [(0,), (1,), (-3,), ("3",), (3.0,), (True, 2), [2, 3]])
+def test_group_spec_refuses_bad_moduli(moduli):
+    # no public path builds a group past these checks: the constructor is the one path
+    with pytest.raises(ValueError):
+        GroupSpec(moduli)
+
+
+@pytest.mark.parametrize("moduli", [(2 ** 21,), (2,) * 21])
+def test_group_spec_refuses_an_order_over_the_cap(moduli):
+    with pytest.raises(CapacityError, match="group order 2097152 exceeds cap 1048576"):
+        GroupSpec(moduli)
+
+
+def test_abelian_groups_of_order_obeys_the_cap():
+    with pytest.raises(CapacityError, match="group order 2097152 exceeds cap 1048576"):
+        abelian_groups_of_order(2 ** 21)  # refused at its first class, Z_(2^21)
+
+
+@given(st.lists(st.integers(-2, 9), max_size=4))
+def test_group_spec_builds_exactly_when_every_modulus_is_at_least_2(moduli):
+    moduli = tuple(moduli)
+    if all(m >= 2 for m in moduli):
+        assert GroupSpec(moduli).order == math.prod(moduli)
+    else:
+        with pytest.raises(ValueError, match="must be an integer >= 2"):
+            GroupSpec(moduli)
 
 
 def test_add_neg_identity_examples():
-    z5 = make_group([5])
+    z5 = GroupSpec((5,))
     assert z5.add_index(z5.element([3]), z5.element([4])) == 2
-    z23 = make_group([2, 3])
+    z23 = GroupSpec((2, 3))
     s = z23.add_index(z23.element([1, 2]), z23.element([1, 2]))
     assert z23.index_to_coords(s) == (0, 1)
     for g in (z5, z23):
@@ -55,7 +84,7 @@ def test_add_neg_identity_examples():
 
 
 def test_element_validation():
-    z6 = make_group([6])
+    z6 = GroupSpec((6,))
     with pytest.raises(ValueError):
         z6.element([6])
     with pytest.raises(ValueError):
@@ -64,7 +93,7 @@ def test_element_validation():
 
 def test_index_arguments_are_range_checked():
     # out of range, index_to_coords would alias another element: 6 reads as 0
-    z6 = make_group([6])
+    z6 = GroupSpec((6,))
     for bad in (6, -1):
         with pytest.raises(ValueError, match=rf"invalid element index {bad} for order 6"):
             z6.element_order(bad)
@@ -73,7 +102,7 @@ def test_index_arguments_are_range_checked():
 
 
 def test_index_coords_bijection():
-    g = make_group([3, 4, 2])
+    g = GroupSpec((3, 4, 2))
     seen = set()
     for i in range(g.order):
         c = g.index_to_coords(i)
@@ -110,17 +139,17 @@ def test_order_times_element_is_identity():
 
 
 def test_element_order_examples():
-    z6 = make_group([6])
+    z6 = GroupSpec((6,))
     assert z6.element_order(2) == 3
     assert z6.element_order(0) == 1
-    z23 = make_group([2, 3])
+    z23 = GroupSpec((2, 3))
     assert z23.element_order(z23.element([1, 1])) == 6
 
 
 def test_exponent_examples_and_bruteforce():
-    assert make_group([2, 3]).exponent() == 6
-    assert make_group([7, 7]).exponent() == 7
-    assert make_group([49]).exponent() == 49
+    assert GroupSpec((2, 3)).exponent() == 6
+    assert GroupSpec((7, 7)).exponent() == 7
+    assert GroupSpec((49,)).exponent() == 49
     for order in range(2, 65):
         for g in abelian_groups_of_order(order):
             brute = max(g.element_order(i) for i in range(order))
@@ -128,17 +157,17 @@ def test_exponent_examples_and_bruteforce():
 
 
 def test_even_component_count():
-    assert make_group([2, 4]).even_component_count() == 2
-    assert make_group([9]).even_component_count() == 0
-    assert make_group([6]).even_component_count() == 1
+    assert GroupSpec((2, 4)).even_component_count() == 2
+    assert GroupSpec((9,)).even_component_count() == 0
+    assert GroupSpec((6,)).even_component_count() == 1
 
 
 def test_index2_examples():
-    subs = index2_subgroups(make_group([2, 2]))
+    subs = index2_subgroups(GroupSpec((2, 2)))
     assert len(subs) == 3
     assert all(s.order == 2 for s in subs)
-    assert index2_subgroups(make_group([9])) == []
-    (only,) = index2_subgroups(make_group([4]))
+    assert index2_subgroups(GroupSpec((9,))) == []
+    (only,) = index2_subgroups(GroupSpec((4,)))
     assert only.mask == 0b101 and only.members() == (0, 2)
 
 
@@ -200,16 +229,16 @@ def test_index2_against_lattice_oracle(order):
 
 
 def test_generated_subgroup_examples():
-    z6 = make_group([6])
+    z6 = GroupSpec((6,))
     assert generated_subgroup(z6, [2]).members() == (0, 2, 4)
     assert generated_subgroup(z6, []).members() == (0,)
-    v4 = make_group([2, 2])
+    v4 = GroupSpec((2, 2))
     whole = generated_subgroup(v4, [v4.element([1, 0]), v4.element([0, 1])])
     assert whole.members() == (0, 1, 2, 3) and whole.order == 4
 
 
 def test_subgroup_validation():
-    z6 = make_group([6])
+    z6 = GroupSpec((6,))
     with pytest.raises(ValueError):
         Subgroup(z6, 0b110)  # no identity
     with pytest.raises(ValueError, match="negation"):
@@ -271,17 +300,17 @@ def test_orbits_partition_the_nonzero_elements():
                 assert len({g.element_order(x) for x in orbit}) == 1
     # the generators reach the full automorphism orbits of these groups;
     # 2 generates the units modulo 37, so one dilation table suffices
-    assert len(make_group([37]).automorphisms) == 1
+    assert len(GroupSpec((37,)).automorphisms) == 1
     for moduli, sizes in (([37], [36]), ([2, 2, 2, 2, 2], [31]), ([4, 4, 2], [24, 4, 3])):
-        g = make_group(moduli)
+        g = GroupSpec(tuple(moduli))
         assert [len(o) for o in _orbits(g.automorphisms, range(1, g.order))] == sizes
 
 
 def test_automorphism_check_rejects_a_non_automorphism():
-    z4 = make_group([4])
+    z4 = GroupSpec((4,))
     with pytest.raises(RuntimeError, match="no automorphism"):
         z4._automorphism_table([2])  # x -> 2x is not injective
-    z2z4 = make_group([2, 4])
+    z2z4 = GroupSpec((2, 4))
     with pytest.raises(RuntimeError, match="no automorphism"):
         z2z4._automorphism_table([2, 2])  # e_1 has order 2, its image e_2 order 4
 
@@ -337,6 +366,6 @@ def test_stabiliser_orbits():
                         assert set(map(frozenset, got)) == expected, (g.moduli, r, q)
     # Z_41's units act regularly: every stabiliser is trivial, and of the
     # 39 other nonzero elements 2 and the half 21 of 1 are no candidates
-    gens = _stabiliser(make_group([41]).automorphisms, 1)
+    gens = _stabiliser(GroupSpec((41,)).automorphisms, 1)
     blocks = _orbits(gens, [x for x in range(2, 41) if x not in (2, 21)])
     assert len(blocks) == 37 and {len(b) for b in blocks} == {1}

@@ -8,13 +8,13 @@ import pytest
 from sumfree.analysis import DensityReport, StructureVerdict, WeightedDensityReport
 from sumfree.enumeration import CountRecord, _group_count, _interval_count, count_sum_free
 from sumfree.generate import ExtractionTrace, PrimePick, RandomGenConfig, extract_sum_free
-from sumfree.groups import GroupSpec, Subgroup, make_group
+from sumfree.groups import GroupSpec, Subgroup
 from sumfree.universe import ElemSet, GroupUniverse, IntervalUniverse
 
 # each record class -> a function building a fresh instance of it
 FACTORIES = {
     IntervalUniverse: lambda: IntervalUniverse(1, 5),
-    GroupUniverse: lambda: GroupUniverse(make_group([2, 3])),
+    GroupUniverse: lambda: GroupUniverse(GroupSpec((2, 3))),
     ElemSet: lambda: ElemSet(IntervalUniverse(1, 5), 0b10101),
     GroupSpec: lambda: GroupSpec((2, 3)),
     Subgroup: lambda: Subgroup(GroupSpec((4,)), 0b101),
@@ -118,9 +118,28 @@ def test_validation_errors_are_unchanged():
         RandomGenConfig(1, 2, 10, max_iterations=0)
 
 
+@pytest.mark.parametrize("field, build", [
+    ("lo", lambda: IntervalUniverse(1.0, 5)),
+    ("hi", lambda: IntervalUniverse(1, 2.5)),
+    ("seed_element", lambda: RandomGenConfig(1.0, 2, 10)),
+    ("target_cardinality", lambda: RandomGenConfig(1, 2.0, 10)),
+    ("sample_hi", lambda: RandomGenConfig(1, 2, 10.5)),
+    ("max_iterations", lambda: RandomGenConfig(1, 2, 10, max_iterations=True)),
+])
+def test_sizes_must_be_integers(field, build):
+    # refused when built, not in a shift or a range deep in a walk or a draw
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
+        build()
+
+
+def test_rng_seed_takes_what_random_takes():
+    for seed in (None, 2.5, "seed", b"seed"):
+        assert RandomGenConfig(1, 2, 10, rng_seed=seed).rng_seed == seed
+
+
 def test_rebuilt_equal_universes_hit_the_count_caches():
     for cache, build in ((_interval_count, lambda: IntervalUniverse(3, 17)),
-                         (_group_count, lambda: GroupUniverse(make_group([3, 3])))):
+                         (_group_count, lambda: GroupUniverse(GroupSpec((3, 3))))):
         first = count_sum_free(build())
         before = cache.cache_info()
         assert count_sum_free(build()) == first

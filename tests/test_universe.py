@@ -6,7 +6,7 @@ import pytest
 from oracles import two_wise_backtrack
 from sumfree.enumeration import enumerate_sum_free
 from sumfree.errors import DEFAULT_MAX_ORDER, CapacityError
-from sumfree.groups import abelian_groups_of_order, make_group
+from sumfree.groups import GroupSpec, abelian_groups_of_order
 from sumfree.universe import (
     ElemSet,
     GroupUniverse,
@@ -36,7 +36,7 @@ def test_universe_validation():
     assert u.ground_size == 8
     with pytest.raises(ValueError):
         ElemSet.from_values(u, [1])
-    g = GroupUniverse(make_group([4]))
+    g = GroupUniverse(GroupSpec((4,)))
     assert g.ground_size == 3
     with pytest.raises(ValueError):
         ElemSet.from_values(g, [4])
@@ -74,7 +74,7 @@ def test_is_sum_free_examples():
     assert is_sum_free(s)
     _, s = _iset(1, 4, [1, 2])
     assert not is_sum_free(s)
-    g = GroupUniverse(make_group([4]))
+    g = GroupUniverse(GroupSpec((4,)))
     assert not is_sum_free(ElemSet.from_values(g, [0]))
     assert is_sum_free(ElemSet.empty(g))
 
@@ -171,7 +171,7 @@ def test_is_maximal_examples():
     odd = range(1, 5001, 2)
     assert is_maximal_sum_free(ElemSet.from_values(wide, odd))
     assert not is_maximal_sum_free(ElemSet.from_values(wide, set(odd) - {2501}))
-    z = GroupUniverse(make_group([3000]))
+    z = GroupUniverse(GroupSpec((3000,)))
     assert is_maximal_sum_free(ElemSet.from_values(z, range(1001, 2001)))
     assert not is_maximal_sum_free(ElemSet.from_values(z, range(1001, 2000)))
     # non-sum-free sets are never maximal
@@ -187,7 +187,7 @@ def test_two_wise_examples():
     # any sum-free set splits (one empty part)
     assert is_two_wise_sum_free(ElemSet.from_values(u5, [3, 4, 5]))
     # a group set containing the identity cannot be split
-    g = GroupUniverse(make_group([5]))
+    g = GroupUniverse(GroupSpec((5,)))
     assert not is_two_wise_sum_free(ElemSet.from_values(g, [0, 1]))
 
 
